@@ -16,6 +16,7 @@ import (
 	"samnet/internal/service"
 	"samnet/internal/sim"
 	"samnet/internal/topology"
+	"samnet/internal/verify"
 )
 
 // Re-exported core types. See the internal packages for full documentation.
@@ -43,8 +44,9 @@ type (
 	DetectorConfig = sam.DetectorConfig
 	// Verdict is a detector decision with its soft lambda.
 	Verdict = sam.Verdict
-	// Pipeline is the three-step detection procedure.
-	Pipeline = sam.Pipeline
+	// ProbeVerdict is the outcome of probing a suspect pair (IDS step 2):
+	// its likelihood, whether it is condemned, and the evidence.
+	ProbeVerdict = verify.Verdict
 	// Wormhole is an installed tunnel between two attacker nodes.
 	Wormhole = attack.Wormhole
 	// Scenario bundles active wormholes and their payload behaviour.
@@ -90,19 +92,19 @@ func Attack(net *Network, count int, behavior attack.PayloadBehavior) *Scenario 
 // run reproducible. If the network is under attack (Attack was called and
 // not torn down), tunneled routes show up accordingly.
 func DiscoverMR(net *Network, src, dst NodeID, seed uint64) *Discovery {
-	return discover(net, &mr.Protocol{}, src, dst, seed, nil)
+	return (&mr.Protocol{}).Discover(armedSim(net, nil, seed), src, dst)
 }
 
 // DiscoverDSR runs a DSR-style single-path discovery.
 func DiscoverDSR(net *Network, src, dst NodeID, seed uint64) *Discovery {
-	return discover(net, &dsr.Protocol{}, src, dst, seed, nil)
+	return (&dsr.Protocol{}).Discover(armedSim(net, nil, seed), src, dst)
 }
 
 // DiscoverMRUnderAttack is DiscoverMR with the scenario's payload policy
 // armed, so black/grey hole behaviour affects probe traffic on the same
 // simulated network.
 func DiscoverMRUnderAttack(net *Network, sc *Scenario, src, dst NodeID, seed uint64) *Discovery {
-	return discover(net, &mr.Protocol{}, src, dst, seed, sc)
+	return (&mr.Protocol{}).Discover(armedSim(net, sc, seed), src, dst)
 }
 
 // DiscoverMRAvoiding runs a multi-path discovery with the excluded nodes
@@ -117,12 +119,14 @@ func DiscoverMRAvoiding(net *Network, excluded map[NodeID]bool, src, dst NodeID,
 	return (&mr.Protocol{}).Discover(s, src, dst)
 }
 
-func discover(net *Network, p routing.Protocol, src, dst NodeID, seed uint64, sc *Scenario) *Discovery {
+// armedSim builds a fresh simulation of net seeded by seed, with sc's
+// payload policy armed if sc is non-nil.
+func armedSim(net *Network, sc *Scenario, seed uint64) *sim.Network {
 	s := sim.NewNetwork(net.Topo, sim.Config{Seed: seed})
 	if sc != nil {
 		sc.Arm(s)
 	}
-	return p.Discover(s, src, dst)
+	return s
 }
 
 // Analyze computes SAM's statistics (p_max, phi, per-link frequencies and
@@ -142,13 +146,10 @@ func NewDetector(p *Profile) *Detector { return sam.NewDetector(p, sam.DetectorC
 // HTTP server has fully shut down.
 func NewDetectionService(cfg ServiceConfig) *DetectionService { return service.New(cfg) }
 
-// ProbeRoutes sends one test data packet along each route on a fresh
-// simulation of net (with sc's payload policy armed if non-nil) and reports
-// which end-to-end ACKs returned — SAM's step 2.
-func ProbeRoutes(net *Network, sc *Scenario, routes []Route, seed uint64) []routing.ProbeResult {
-	s := sim.NewNetwork(net.Topo, sim.Config{Seed: seed})
-	if sc != nil {
-		sc.Arm(s)
-	}
-	return routing.ProbeRoutes(s, routes)
+// Probe is the IDS's step 2: on a fresh simulation of net (with sc's payload
+// policy armed if non-nil) it sends HMAC challenge–response probes along up
+// to three of the routes that cross pair and judges the evidence. A
+// condemned verdict is the confirmation step 3 isolates on.
+func Probe(net *Network, sc *Scenario, pair Link, routes []Route, seed uint64) ProbeVerdict {
+	return verify.Probe(armedSim(net, sc, seed), pair, routes, verify.Config{}, nil)
 }

@@ -76,23 +76,24 @@ func TestFacadeTrainDetect(t *testing.T) {
 	}
 }
 
-func TestFacadeProbeRoutes(t *testing.T) {
+func TestFacadeProbe(t *testing.T) {
 	net := samnet.NewCluster(1, 1)
 	sc := samnet.Attack(net, 1, samnet.BehaviorBlackhole)
 	defer sc.Teardown()
+	tunnel := sc.TunnelLinks()[0]
 	d := samnet.DiscoverMRUnderAttack(net, sc, net.SrcPool[0], net.DstPool[0], 5)
 	if len(d.Routes) == 0 {
 		t.Fatal("no routes")
 	}
-	res := samnet.ProbeRoutes(net, sc, d.Routes[:1], 6)
-	if res[0].Acked {
-		t.Error("probe through a blackhole wormhole must fail")
+	v := samnet.Probe(net, sc, tunnel, d.Routes, 6)
+	if v.Probes == 0 || !v.Condemned {
+		t.Errorf("probe through a blackhole wormhole must condemn it: %+v", v)
 	}
-	// Without the scenario armed, the same probe succeeds (tunnel still
+	// Without the scenario armed, the same probes come back (tunnel still
 	// exists as a link; the attackers just stop dropping).
-	res2 := samnet.ProbeRoutes(net, nil, d.Routes[:1], 6)
-	if !res2[0].Acked {
-		t.Error("probe without payload dropping should succeed")
+	v2 := samnet.Probe(net, nil, tunnel, d.Routes, 6)
+	if v2.Probes == 0 || v2.Condemned || v2.Likelihood != 0 {
+		t.Errorf("probe without payload dropping should exonerate: %+v", v2)
 	}
 }
 

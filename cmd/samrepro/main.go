@@ -42,7 +42,6 @@ func main() {
 		runs      = flag.Int("runs", 10, "simulation runs per condition")
 		seed      = flag.Uint64("seed", 2005, "master seed")
 		parallel  = flag.Int("parallel", 0, "worker pool size (0 = all cores, 1 = serial)")
-		workers   = flag.Int("workers", 0, "deprecated alias of -parallel")
 		csv       = flag.Bool("csv", false, "emit CSV instead of markdown")
 		list      = flag.Bool("list", false, "list experiment ids and exit")
 		outDir    = flag.String("o", "", "also write each experiment to <dir>/<id>.md (or .csv)")
@@ -73,11 +72,7 @@ func main() {
 	}
 	defer stopProfiles()
 
-	pool := *parallel
-	if pool == 0 {
-		pool = *workers
-	}
-	cfg := experiment.Config{Runs: *runs, Seed: *seed, Workers: pool}
+	cfg := experiment.Config{Runs: *runs, Seed: *seed, Workers: *parallel}
 	var defs []experiment.Definition
 	switch *exp {
 	case "all":

@@ -6,19 +6,23 @@
 //  2. Several destination nodes run SAM agents; wormhole attackers tunnel
 //     route requests and blackhole the data.
 //
-//  3. Agents detect, probe (step 2), report to the coordinator (step 3);
-//     once the quorum accuses the pair, the network isolates it and a fresh
-//     discovery succeeds on clean routes.
+//  3. Each agent scores its route set and probes the suspect pair with
+//     challenge-response probes (step 2); condemned pairs join one shared
+//     isolation set (step 3), and a fresh discovery routes around them.
 //
-//     go run ./examples/idsagent
+// The example exits non-zero if no pair is condemned or if a rediscovered
+// route crosses an isolated node.
+//
+//	go run ./examples/idsagent
 package main
 
 import (
 	"fmt"
+	"os"
 
 	"samnet"
-	"samnet/internal/routing"
 	"samnet/internal/sam"
+	"samnet/internal/verify"
 )
 
 func main() {
@@ -45,54 +49,48 @@ func main() {
 	tunnel := sc.TunnelLinks()[0]
 	fmt.Printf("wormhole active: link %v, payload behaviour %v\n\n", tunnel, sc.Behavior)
 
-	// --- Distributed detection: three destinations each run an agent;
-	// two distinct accusations blacklist a node. ---
-	coordinator := sam.NewCoordinator(2)
-	dests := net.DstPool[:3]
-	for i, dstNode := range dests {
-		detector := samnet.NewDetector(profile)
+	// --- Distributed detection: three destinations each run an agent that
+	// detects, probes, and condemns into the shared isolation set. ---
+	iso := verify.NewIsolationSet()
+	for i, dstNode := range net.DstPool[:3] {
 		seed := uint64(100 + i)
-		prober := sam.ProberFunc(func(routes []routing.Route) []routing.ProbeResult {
-			return samnet.ProbeRoutes(net, sc, routes, seed)
-		})
-		pipeline := sam.NewPipeline(detector, prober, coordinator.ResponderFor(dstNode), sam.PipelineConfig{})
-		agent := sam.NewAgent(dstNode, pipeline)
-
 		src := net.SrcPool[i*3%len(net.SrcPool)]
 		disc := samnet.DiscoverMRUnderAttack(net, sc, src, dstNode, seed)
-		out := agent.OnRouteDiscovery(disc.Routes)
+		v := samnet.NewDetector(profile).Evaluate(samnet.Analyze(disc.Routes))
 		fmt.Printf("agent@%d: %d routes, verdict=%v lambda=%.3f", dstNode,
-			len(disc.Routes), out.Verdict.Decision, out.Verdict.Lambda)
-		if out.Report != nil {
-			fmt.Printf(" -> report: link %v confirmed=%v (probes %d/%d failed)",
-				out.Report.SuspectLink, out.Report.Confirmed,
-				out.Report.ProbesFailed, out.Report.ProbesSent)
+			len(disc.Routes), v.Decision, v.Lambda)
+		if v.Decision != sam.Normal {
+			pv := samnet.Probe(net, sc, v.SuspectLink, disc.Routes, seed)
+			fmt.Printf(" -> probed %v: likelihood %.2f over %d probes, condemned=%v",
+				pv.Pair, pv.Likelihood, pv.Probes, pv.Condemned)
+			if pv.Condemned {
+				iso.Condemn(pv)
+			}
 		}
 		fmt.Println()
 	}
 
-	// --- Response: quorum reached, isolate the accused pair. ---
-	blacklist := coordinator.Blacklist()
-	fmt.Printf("\ncoordinator blacklist (quorum %d): %v\n", coordinator.Quorum, blacklist)
-	if len(blacklist) == 0 {
-		fmt.Println("no quorum; nothing to isolate")
-		return
+	// --- Response: isolate every condemned pair and rediscover. ---
+	excluded := map[samnet.NodeID]bool{}
+	for _, v := range iso.Pairs() {
+		excluded[v.Pair.A] = true
+		excluded[v.Pair.B] = true
+	}
+	fmt.Printf("\nisolated pairs: %d, nodes %v\n", iso.Len(), excluded)
+	if iso.Len() == 0 {
+		fmt.Fprintln(os.Stderr, "idsagent: no pair condemned")
+		os.Exit(1)
 	}
 
-	sc.Teardown() // isolation severs the tunnel...
 	fmt.Println("\nattackers isolated (neighbors refuse their traffic); rediscovering routes:")
-	d := samnet.DiscoverMRAvoiding(net, coordinator.BlacklistSet(), net.SrcPool[0], net.DstPool[len(net.DstPool)-1], 999)
-	clean := 0
+	d := samnet.DiscoverMRAvoiding(net, excluded, net.SrcPool[0], net.DstPool[len(net.DstPool)-1], 999)
 	for _, r := range d.Routes {
-		uses := false
-		for _, bad := range blacklist {
-			if r.Contains(bad) {
-				uses = true
+		for _, id := range r {
+			if iso.IsolatedNode(id) {
+				fmt.Fprintf(os.Stderr, "idsagent: rediscovered route %v crosses isolated node %d\n", r, id)
+				os.Exit(1)
 			}
 		}
-		if !uses {
-			clean++
-		}
 	}
-	fmt.Printf("  %d routes found, %d/%d avoid every blacklisted node\n", len(d.Routes), clean, len(d.Routes))
+	fmt.Printf("  %d routes found, all avoid every isolated node\n", len(d.Routes))
 }

@@ -141,13 +141,19 @@ func (c *simCache) network(topo *topology.Topology, cfg sim.Config) *sim.Network
 	return c.net
 }
 
+// network builds the condition's network for one run with its wormholes
+// installed; the scenario is nil when the condition has none.
+func (c Condition) network(cfg Config, run int) (*topology.Network, *attack.Scenario) {
+	net := c.Build(cfg, run)
+	if c.Wormholes == 0 {
+		return net, nil
+	}
+	return net, attack.NewScenario(net, c.Wormholes, c.Behavior)
+}
+
 // runOne executes one run of a condition.
 func runOne(cfg Config, cond Condition, run int, sc1 *simCache) RunResult {
-	net := cond.Build(cfg, run)
-	var sc *attack.Scenario
-	if cond.Wormholes > 0 {
-		sc = attack.NewScenario(net, cond.Wormholes, cond.Behavior)
-	}
+	net, sc := cond.network(cfg, run)
 	src, dst := net.PickPair(pairRNG(cfg.Seed, run))
 	simNet := sc1.network(net.Topo, sim.Config{Seed: deriveSeed(cfg.Seed, cond.Label, run)})
 	if sc != nil {

@@ -1,11 +1,11 @@
 package experiment
 
 import (
+	"slices"
 	"strconv"
 
 	"samnet/internal/attack"
 	"samnet/internal/leash"
-	"samnet/internal/routing"
 	"samnet/internal/runner"
 	"samnet/internal/sam"
 	"samnet/internal/sector"
@@ -16,8 +16,9 @@ import (
 
 // Detection is the end-to-end SAM experiment the paper describes but does
 // not tabulate: train a profile on normal-condition discoveries, then run
-// the full three-step pipeline on fresh normal and attacked runs, reporting
-// detection rate, false positives and attacker localization accuracy.
+// steps 1–2 (detectAndProbe) on fresh normal and attacked runs, reporting
+// detection rate, false positives and attacker localization accuracy. A
+// run is confirmed when its probe verdict is condemned.
 func Detection(cfg Config) *trace.Artifact {
 	cfg = cfg.withDefaults()
 	const trainRuns = 30
@@ -65,33 +66,24 @@ func Detection(cfg Config) *trace.Artifact {
 			panic("experiment: training produced no profile: " + err.Error())
 		}
 
-		// Each run gets its own detector and pipeline over the shared
+		// Each run gets its own detector and probe network over the shared
 		// read-only profile, so runs evaluate in parallel; the counters fold
 		// serially in run order to keep the float sums byte-stable.
 		type evalOut struct {
 			confirmed, localized bool
 			lambda               float64
 		}
-		evalRuns := func(cond Condition, attacked bool) (confirmed, localized int, lambdaSum float64) {
+		evalRuns := func(cond Condition) (confirmed, localized int, lambdaSum float64) {
 			results := RunCondition(cfg, cond)
 			outs := runner.MapWorkerProgress(cfg.Workers, len(results), cfg.Progress, newSimCache, func(i int, cache *simCache) evalOut {
 				r := results[i]
-				det := sam.NewDetector(profile, sam.DetectorConfig{})
-				pipe := sam.NewPipeline(det, proberFor(cfg, cond, r, cache), nil, sam.PipelineConfig{})
-				out := pipe.Process(r.Routes)
-				eo := evalOut{lambda: out.Verdict.Lambda}
-				if out.Report != nil && out.Report.Confirmed {
-					eo.confirmed = true
-					if attacked {
-						for _, l := range r.TunnelLinks {
-							if out.Report.SuspectLink == l {
-								eo.localized = true
-								break
-							}
-						}
-					}
+				v, pv := detectAndProbe(cfg, cache, profile, r.Routes, cond.Label, r.Run,
+					func() (*topology.Network, *attack.Scenario) { return cond.network(cfg, r.Run) })
+				return evalOut{
+					confirmed: pv.Condemned,
+					localized: pv.Condemned && slices.Contains(r.TunnelLinks, pv.Pair),
+					lambda:    v.Lambda,
 				}
-				return eo
 			})
 			for _, eo := range outs {
 				lambdaSum += eo.lambda
@@ -105,8 +97,8 @@ func Detection(cfg Config) *trace.Artifact {
 			return confirmed, localized, lambdaSum
 		}
 
-		tp, loc, lamA := evalRuns(attackCond, true)
-		fp, _, lamN := evalRuns(normalCond, false)
+		tp, loc, lamA := evalRuns(attackCond)
+		fp, _, lamN := evalRuns(normalCond)
 		n := float64(cfg.Runs)
 		locRate := 0.0
 		if tp > 0 {
@@ -121,26 +113,6 @@ func Detection(cfg Config) *trace.Artifact {
 		)
 	}
 	return &trace.Artifact{ID: "detection", Kind: "extension", Tables: []*trace.Table{t}}
-}
-
-// proberFor builds a simulation-backed prober that replays the run's
-// scenario: a network with the same topology (drawn from the worker's
-// cache), wormholes armed with the same payload behaviour, probing by
-// source routing.
-func proberFor(cfg Config, cond Condition, r RunResult, cache *simCache) sam.Prober {
-	return sam.ProberFunc(func(routes []routing.Route) []routing.ProbeResult {
-		net := cond.Build(cfg, r.Run)
-		var sc *attack.Scenario
-		if cond.Wormholes > 0 {
-			sc = attack.NewScenario(net, cond.Wormholes, cond.Behavior)
-		}
-		simNet := cache.network(net.Topo, sim.Config{Seed: deriveSeed(cfg.Seed, cond.Label+"/probe", r.Run)})
-		if sc != nil {
-			sc.Arm(simNet)
-			defer sc.Teardown()
-		}
-		return routing.ProbeRoutes(simNet, routes)
-	})
 }
 
 // LeashCompare pits SAM against the two prior-art defenses the paper's

@@ -15,7 +15,7 @@ import (
 // source would use, in three regimes —
 //
 //	oblivious:  routes from an attacked discovery, attackers blackholing;
-//	detected:   SAM's pipeline ran, the accused pair's routes are avoided
+//	detected:   steps 1–2 ran and a condemned pair's routes are avoided
 //	            (when clean alternatives exist in the collected set);
 //	isolated:   the accused pair is cut out of the network entirely and
 //	            routes are rediscovered (step 3's end state).
@@ -94,21 +94,25 @@ func PDR(cfg Config) *trace.Artifact {
 		// Regime 0 — oblivious: use the attacked discovery's routes as-is.
 		send(0, disc.Routes, nil)
 
-		// Regime 1 — detected: run the pipeline, use its selected routes.
-		det := sam.NewDetector(profile, sam.DetectorConfig{})
-		pipe := sam.NewPipeline(det, proberFor(cfg, Condition{
-			Label: "pdr/probe", Build: buildCluster(1), Wormholes: 1,
-			Protocol: mrProtocol, Behavior: attack.Blackhole,
-		}, RunResult{Run: run}, cache), nil, sam.PipelineConfig{})
-		out := pipe.Process(disc.Routes)
-		send(1, out.SelectedRoutes, nil)
-
-		// Regime 2 — isolated: cut the accused pair out and rediscover.
+		// Regime 1 — detected: steps 1–2 ran; a condemned pair's routes are
+		// avoided.
+		_, verdict := detectAndProbe(cfg, cache, profile, disc.Routes, "pdr", run,
+			func() (*topology.Network, *attack.Scenario) { return net, sc })
+		detected := disc.Routes
 		excluded := map[topology.NodeID]bool{}
-		if out.Report != nil && out.Report.Confirmed {
-			excluded[out.Report.Suspects[0]] = true
-			excluded[out.Report.Suspects[1]] = true
+		if verdict.Condemned {
+			detected = nil
+			for _, r := range disc.Routes {
+				if !r.ContainsLink(verdict.Pair) {
+					detected = append(detected, r)
+				}
+			}
+			excluded[verdict.Pair.A] = true
+			excluded[verdict.Pair.B] = true
 		}
+		send(1, detected, nil)
+
+		// Regime 2 — isolated: cut the condemned pair out and rediscover.
 		redisc := cache.network(net.Topo, sim.Config{Seed: deriveSeed(cfg.Seed, "pdr/redisc", run)})
 		redisc.SetDropFunc(func(n *sim.Network, from, to topology.NodeID, pkt sim.Packet) bool {
 			return excluded[from] || excluded[to]

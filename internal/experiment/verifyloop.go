@@ -160,15 +160,11 @@ func runVerifyLoopScenario(cfg Config, sc verifyLoopScenario) verifyLoopRow {
 
 		// Steps 1–3: detect, probe the accused pair, isolate on condemnation.
 		iso := verify.NewIsolationSet()
-		v := sam.NewDetector(profile, sam.DetectorConfig{}).Evaluate(sam.Analyze(disc.Routes))
-		if v.Decision != sam.Normal {
-			probeNet := cache.network(net.Topo, sim.Config{Seed: deriveSeed(cfg.Seed, label+"/probe", run)})
-			atk.Arm(probeNet)
-			verdict := verify.Probe(probeNet, v.SuspectLink, disc.Routes, cfg.Verify, iso)
-			if verdict.Condemned {
-				iso.Condemn(verdict)
-				tally.condemned = 1
-			}
+		_, verdict := detectAndProbe(cfg, cache, profile, disc.Routes, label, run,
+			func() (*topology.Network, *attack.Scenario) { return net, atk })
+		if verdict.Condemned {
+			iso.Condemn(verdict)
+			tally.condemned = 1
 		}
 
 		// Regime 2 — post-isolation: rediscover with the isolation list

@@ -514,9 +514,11 @@ type ProbeResult struct {
 }
 
 // ProbeRoutes sends one Data packet along each route and reports which ACKs
-// came back. It installs minimal relay handlers on every node (replacing any
-// discovery handlers) and uses the network's drop function, so black/grey
-// hole attackers on a route surface as missing ACKs — SAM's step 2.
+// came back: it measures packet delivery over a route set. It installs
+// minimal relay handlers on every node (replacing any discovery handlers)
+// and uses the network's drop function, so black/grey hole attackers on a
+// route surface as missing ACKs. The IDS's step 2 (probing a suspect pair)
+// is verify.Probe, not this.
 func ProbeRoutes(net *sim.Network, routes []Route) []ProbeResult {
 	acked := make(map[uint64]bool)
 	h := sim.HandlerFunc(func(n *sim.Network, self, from topology.NodeID, pkt sim.Packet) {

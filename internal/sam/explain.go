@@ -53,17 +53,3 @@ func NewDecisionRecord(profile string, v Verdict, cfg DetectorConfig) obs.Decisi
 	}
 	return d
 }
-
-// SetRecorder attaches a decision ring to the pipeline: every Process emits
-// one decision record (labelled with the trained profile's label) while the
-// ring is enabled. A nil or disabled ring costs one branch per Process and
-// no allocation.
-func (p *Pipeline) SetRecorder(r *obs.DecisionRing) { p.recorder = r }
-
-// record captures v into the pipeline's ring when enabled.
-func (p *Pipeline) record(v Verdict) {
-	if !p.recorder.Enabled() {
-		return
-	}
-	p.recorder.Record(NewDecisionRecord(p.Detector.Profile().Label, v, p.Detector.Config()))
-}

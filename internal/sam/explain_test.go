@@ -117,33 +117,3 @@ func TestDecisionRecordLocalizesSimulatedWormhole(t *testing.T) {
 		t.Errorf("tunnel %v localized in only %d/%d flagged runs", tunnel, localized, flagged)
 	}
 }
-
-func TestPipelineRecorder(t *testing.T) {
-	ring := obs.NewDecisionRing(8)
-	p := NewPipeline(trainedDetector(t), nil, nil, PipelineConfig{})
-	p.SetRecorder(ring)
-
-	p.Process(normalRoutes(1))
-	p.Process(attackRoutes())
-	snap := ring.Snapshot()
-	if len(snap) != 2 {
-		t.Fatalf("recorded %d decisions, want 2", len(snap))
-	}
-	if snap[0].Decision != "normal" {
-		t.Errorf("first decision = %q", snap[0].Decision)
-	}
-	if snap[1].Decision == "normal" || snap[1].Suspect != (obs.DecisionLink{A: 100, B: 101}) {
-		t.Errorf("attack decision = %+v", snap[1])
-	}
-	if snap[1].Profile != "test" {
-		t.Errorf("profile label = %q, want the trained profile's label", snap[1].Profile)
-	}
-
-	// Disabled ring: Process must not record (and must not allocate a
-	// record, pinned separately by the service's zero-alloc guard).
-	ring.SetEnabled(false)
-	p.Process(attackRoutes())
-	if ring.Recorded() != 2 {
-		t.Errorf("disabled ring recorded a decision")
-	}
-}

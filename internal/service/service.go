@@ -567,29 +567,28 @@ func (s *Service) handleDetectBatch(w http.ResponseWriter, r *http.Request) {
 	update := sc.requestUpdate()
 
 	n := len(sc.sets)
+	sc.stats = growSlice(sc.stats, n)
 	sc.verdicts = growSlice(sc.verdicts, n)
 	sc.itemErrs = growSlice(sc.itemErrs, n)
 	sc.tasks = sc.tasks[:0]
 	for i := range sc.sets {
 		i, set := i, sc.sets[i]
-		sc.tasks = append(sc.tasks, func() {
-			// Analysis is pure and runs fully parallel; only the stateful
-			// evaluate+update pair serializes on the profile's mutex.
-			// Observation waits for the barrier: metrics and decision records
-			// must reflect only verdicts the response actually carries.
-			v, err := e.score(sam.Analyze(set), update)
-			if err != nil {
-				sc.itemErrs[i] = err
-				return
-			}
-			sc.verdicts[i] = v
-		})
+		// Analysis is pure and runs fully parallel on the pool.
+		sc.tasks = append(sc.tasks, func() { sc.stats[i] = sam.Analyze(set) })
 	}
 	if !s.pool.tryRun(sc.tasks) {
 		w.Header().Set("Retry-After", "1")
 		s.errorf(w, sc, http.StatusTooManyRequests,
 			"worker pool saturated (%d items would exceed queue depth %d)", n, s.cfg.QueueDepth)
 		return
+	}
+	// The stateful evaluate+update pair runs after the barrier in item
+	// order, so the adaptive profile replays the same way on every run and
+	// the verdicts do not depend on worker scheduling. Observation waits
+	// for finishBatch: metrics and decision records must reflect only
+	// verdicts the response actually carries.
+	for i := range sc.stats {
+		sc.verdicts[i], sc.itemErrs[i] = e.score(sc.stats[i], update)
 	}
 	status := s.finishBatch(sc, e.name)
 	s.writeBuf(w, status, sc.out)

@@ -73,6 +73,7 @@ type wireScratch struct {
 	sets    [][]routing.Route
 
 	// Batch execution and wire-verdict staging.
+	stats    []sam.Stats
 	verdicts []sam.Verdict
 	itemErrs []error
 	errStrs  []string

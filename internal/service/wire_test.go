@@ -281,6 +281,36 @@ func TestDetectBatchPartialFailure(t *testing.T) {
 	})
 }
 
+// TestDetectBatchUpdatesInItemOrder: a batch with updates on applies them
+// in item order whatever the pool's scheduling, so its verdicts equal those
+// of the same items posted one by one to /v1/detect on an identical
+// profile.
+func TestDetectBatchUpdatesInItemOrder(t *testing.T) {
+	items := append(genSets(8, false, 9000), genSets(8, true, 9500)...)
+	for round := 0; round < 5; round++ {
+		batchTS, _ := newTrainedServer(t, Config{Workers: 4})
+		singleTS, _ := newTrainedServer(t, Config{Workers: 4})
+		resp, blob := postJSON(t, batchTS.URL+"/v1/detect/batch", mustJSON(t, BatchDetectRequest{Profile: "test", Items: items}))
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("batch: %d: %s", resp.StatusCode, blob)
+		}
+		var br BatchDetectResponse
+		if err := json.Unmarshal(blob, &br); err != nil {
+			t.Fatal(err)
+		}
+		for i, set := range items {
+			_, one := postJSON(t, singleTS.URL+"/v1/detect", mustJSON(t, DetectRequest{Profile: "test", Routes: set}))
+			var dr DetectResponse
+			if err := json.Unmarshal(one, &dr); err != nil {
+				t.Fatal(err)
+			}
+			if br.Verdicts[i] != dr.Verdict {
+				t.Fatalf("round %d item %d: batch verdict %+v, one by one %+v", round, i, br.Verdicts[i], dr.Verdict)
+			}
+		}
+	}
+}
+
 // TestDetectStream drives the NDJSON pipeline end to end over a real
 // connection: responses arrive in request order, per-line failures don't
 // kill the stream, and a lockstep client (read-after-every-write) never

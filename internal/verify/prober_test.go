@@ -114,6 +114,18 @@ func TestProbeSkipsRoutesOffPair(t *testing.T) {
 	}
 }
 
+// TestProbeMaxProbesBudget: with more routes through the pair than the
+// budget, exactly MaxProbes of them are probed. Three routes cross 1-2 (the
+// off route does not); a budget of two probes walks exactly two of them.
+func TestProbeMaxProbesBudget(t *testing.T) {
+	off := routing.Route{2, 3, 4}
+	routes := []routing.Route{off, lineRoute, lineRoute, lineRoute}
+	v := Probe(lineNet(1), topology.MkLink(1, 2), routes, Config{MaxProbes: 2}, nil)
+	if v.Probes != 2 || len(v.Evidence) != 2 {
+		t.Fatalf("verdict = %+v, want 2 probes under MaxProbes 2", v)
+	}
+}
+
 // TestProbeMaxProbesExplicitZero: MaxProbes: ExplicitZero disables probing
 // even when candidate routes exist — the configurable-zero contract.
 func TestProbeMaxProbesExplicitZero(t *testing.T) {
