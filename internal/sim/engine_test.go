@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -73,6 +74,15 @@ func TestRunUntil(t *testing.T) {
 	if fired != 2 || e.Now() != 5 {
 		t.Errorf("after Run: fired=%d now=%v", fired, e.Now())
 	}
+
+	// A queue that drains before the deadline still leaves the clock at the
+	// deadline, not at the last event's time.
+	var d Engine
+	d.Schedule(1, func() {})
+	if now := d.RunUntil(3); now != 3 || d.Now() != 3 || d.Pending() != 0 {
+		t.Errorf("drained RunUntil(3): returned %v, Now %v, Pending %d; want 3, 3, 0",
+			now, d.Now(), d.Pending())
+	}
 }
 
 func TestStep(t *testing.T) {
@@ -127,5 +137,31 @@ func TestEventOrderProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestHeapKeyHasNoPointers pins the heap element's layout: sifting moves keys
+// as plain memory, with no GC write barriers, only while a key holds no
+// pointer. Payloads belong in the slab.
+func TestHeapKeyHasNoPointers(t *testing.T) {
+	var walk func(path string, typ reflect.Type)
+	walk = func(path string, typ reflect.Type) {
+		switch typ.Kind() {
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				f := typ.Field(i)
+				walk(path+"."+f.Name, f.Type)
+			}
+		case reflect.Array:
+			walk(path+"[]", typ.Elem())
+		case reflect.Pointer, reflect.UnsafePointer, reflect.Map, reflect.Slice,
+			reflect.Chan, reflect.Func, reflect.Interface, reflect.String:
+			t.Errorf("heap key field %s is a %s, which holds a pointer", path, typ.Kind())
+		}
+	}
+	typ := reflect.TypeOf(key{})
+	walk("key", typ)
+	if typ.Size() > 24 {
+		t.Errorf("heap key is %d bytes, want at most 24", typ.Size())
 	}
 }

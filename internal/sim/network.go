@@ -130,7 +130,8 @@ func NewNetwork(topo *topology.Topology, cfg Config) *Network {
 // stream — while keeping every allocation (event queue, per-node slices)
 // for reuse. It does NOT touch the topology: attacker tunnel links added to
 // the topology survive a Reset, exactly as they survive building a fresh
-// Network over the same topology.
+// Network over the same topology. Reset and Retarget must not be called from
+// a packet handler.
 func (n *Network) Reset(seed uint64) {
 	n.cfg.Seed = seed
 	n.resetState()
@@ -276,12 +277,22 @@ func (n *Network) ResetCounters() {
 
 // Broadcast transmits pkt from node "from" to every current neighbor. The
 // single on-air transmission is counted once; each neighbor that is not
-// dropped receives after HopDelay plus one shared jitter draw.
+// lost receives after HopDelay plus one shared jitter draw. The receivers are
+// the neighbors at send time: a link added before the packet arrives does not
+// change who receives it.
 func (n *Network) Broadcast(from topology.NodeID, pkt Packet) {
 	n.tx[from]++
 	delay := n.txDelay(from)
-	for _, to := range n.topo.Neighbors(from) {
-		n.deliver(from, to, pkt, delay)
+	rcv := n.topo.Neighbors(from)
+	if n.cfg.LossRate > 0 || n.linkDelay != nil {
+		n.send(from, rcv, pkt, delay)
+		return
+	}
+	// Every neighbor receives at one instant, so the entry can share the
+	// topology's neighbor list: a topology change builds new lists rather
+	// than modifying the old ones.
+	if len(rcv) > 0 {
+		n.pushDelivery(n.now+delay, n.alloc(), from, pkt, rcv)
 	}
 }
 
@@ -301,24 +312,46 @@ func (n *Network) Unicast(from, to topology.NodeID, pkt Packet) {
 		panic(fmt.Sprintf("sim: unicast between non-adjacent nodes %d and %d", from, to))
 	}
 	n.tx[from]++
-	n.deliver(from, to, pkt, n.txDelay(from))
+	n.send(from, []topology.NodeID{to}, pkt, n.txDelay(from))
 }
 
-func (n *Network) deliver(from, to topology.NodeID, pkt Packet, delay Time) {
-	// Channel loss is drawn at transmission time so the loss pattern is
-	// independent of handler scheduling.
-	if n.cfg.LossRate > 0 && n.rng.Float64() < n.cfg.LossRate {
-		n.lost++
+// send schedules one transmission's receptions: a single heap entry for
+// every receiver arriving after delay, in rcv order, plus one entry for each
+// receiver whose link delay makes it arrive later. Receivers are copied into
+// the entries' own buffers.
+func (n *Network) send(from topology.NodeID, rcv []topology.NodeID, pkt Packet, delay Time) {
+	e := &n.Engine
+	at := e.now + delay
+	s := e.alloc()
+	batch := e.slab[s].own
+	for _, to := range rcv {
+		// Channel loss is drawn at transmission time, per receiver in rcv
+		// order, so the loss pattern is independent of handler scheduling.
+		if n.cfg.LossRate > 0 && n.rng.Float64() < n.cfg.LossRate {
+			n.lost++
+			continue
+		}
+		if n.linkDelay != nil {
+			if t := e.now + (delay + n.linkDelay[topology.MkLink(from, to)]); t != at {
+				d := e.alloc()
+				own := append(e.slab[d].own, to)
+				e.slab[d].own = own
+				e.pushDelivery(t, d, from, pkt, own)
+				continue
+			}
+		}
+		batch = append(batch, to)
+	}
+	e.slab[s].own = batch
+	if len(batch) == 0 {
+		e.release(s)
 		return
 	}
-	if n.linkDelay != nil {
-		delay += n.linkDelay[topology.MkLink(from, to)]
-	}
-	n.scheduleDelivery(delay, from, to, pkt)
+	e.pushDelivery(at, s, from, pkt, batch)
 }
 
-// dispatch is the engine's callback for delivery events: the receive-side
-// half of deliver, at arrival time.
+// dispatch is the engine's callback for each receiver of a delivery entry:
+// the receive-side half of send, at arrival time.
 func (n *Network) dispatch(from, to topology.NodeID, pkt Packet) {
 	if n.drop != nil && n.drop(n, from, to, pkt) {
 		n.dropped++

@@ -58,6 +58,26 @@ func TestBroadcastCountsOneTxPerAirTransmission(t *testing.T) {
 	}
 }
 
+// TestBroadcastIsOneEntry pins what Pending and Step count: heap entries. A
+// broadcast is one entry for all its receivers; Processed still counts each
+// delivery.
+func TestBroadcastIsOneEntry(t *testing.T) {
+	net := NewNetwork(lineTopo(3), Config{Seed: 1})
+	net.Broadcast(1, "x")
+	if got := net.Pending(); got != 1 {
+		t.Fatalf("Pending after a 2-receiver broadcast = %d, want 1", got)
+	}
+	if !net.Step() {
+		t.Fatal("Step found no entry")
+	}
+	if tx, rx := net.TotalTraffic(); tx != 1 || rx != 2 || net.Processed() != 2 {
+		t.Errorf("one Step: traffic %d/%d, Processed %d; want 1/2, 2", tx, rx, net.Processed())
+	}
+	if net.Pending() != 0 || net.Step() {
+		t.Error("the broadcast left entries behind")
+	}
+}
+
 func TestUnicast(t *testing.T) {
 	topo := lineTopo(3)
 	net := NewNetwork(topo, Config{Seed: 1})

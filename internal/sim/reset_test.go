@@ -119,30 +119,54 @@ func TestConfigExplicitZeroJitter(t *testing.T) {
 	}
 }
 
-// TestBroadcastDeliverZeroAlloc pins the tentpole invariant: once warm, a
+// TestBroadcastDeliverZeroAlloc pins the hot-path invariant: once warm, a
 // broadcast plus the delivery of every copy allocates nothing — no closure,
-// no boxed heap event.
+// no boxed heap event — on the plain path, with channel loss (receivers
+// copied into the entry's own buffer) and with a delayed link (a receiver
+// split off into its own entry).
 func TestBroadcastDeliverZeroAlloc(t *testing.T) {
-	net := NewNetwork(lineTopo(3), Config{Seed: 1})
-	var pkt Packet = "x"
-	net.SetAllHandlers(HandlerFunc(func(n *Network, self, from topology.NodeID, pkt Packet) {}))
-	// Warm the event queue.
-	net.Broadcast(1, pkt)
-	net.Run()
-	if got := testing.AllocsPerRun(200, func() {
-		net.Broadcast(1, pkt)
-		net.Run()
-	}); got != 0 {
-		t.Errorf("broadcast+deliver allocates %.1f times per op, want 0", got)
-	}
-	// Reset is part of the steady-state reuse loop and must stay free too.
-	if got := testing.AllocsPerRun(200, func() {
-		net.Reset(5)
+	for _, tc := range []struct {
+		name  string
+		cfg   Config
+		delay bool
+	}{
+		{name: "plain", cfg: Config{Seed: 1}},
+		{name: "loss", cfg: Config{Seed: 1, LossRate: 0.3}},
+		{name: "link-delay", cfg: Config{Seed: 1}, delay: true},
+	} {
+		net := NewNetwork(lineTopo(3), tc.cfg)
+		var pkt Packet = "x"
 		net.SetAllHandlers(HandlerFunc(nopHandler))
-		net.Broadcast(1, pkt)
+		if tc.delay {
+			net.SetLinkDelay(1, 2, 3)
+		}
+		// Warm the event queue.
+		for i := 0; i < 4; i++ {
+			net.Broadcast(1, pkt)
+			net.Unicast(1, 2, pkt)
+		}
 		net.Run()
-	}); got != 0 {
-		t.Errorf("reset+broadcast+deliver allocates %.1f times per op, want 0", got)
+		if got := testing.AllocsPerRun(200, func() {
+			net.Broadcast(1, pkt)
+			net.Unicast(1, 2, pkt)
+			net.Run()
+		}); got != 0 {
+			t.Errorf("%s: broadcast+deliver allocates %.1f times per op, want 0", tc.name, got)
+		}
+		if tc.cfg.LossRate > 0 && net.Lost() == 0 {
+			t.Errorf("%s: no reception was lost", tc.name)
+		}
+		// Reset is part of the steady-state reuse loop and must stay free
+		// too. It clears link delays, so this half runs the plain or loss
+		// path.
+		if got := testing.AllocsPerRun(200, func() {
+			net.Reset(5)
+			net.SetAllHandlers(HandlerFunc(nopHandler))
+			net.Broadcast(1, pkt)
+			net.Run()
+		}); got != 0 {
+			t.Errorf("%s: reset+broadcast+deliver allocates %.1f times per op, want 0", tc.name, got)
+		}
 	}
 }
 
