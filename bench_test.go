@@ -78,6 +78,32 @@ func BenchmarkSweepTable1(b *testing.B) {
 	}
 }
 
+// BenchmarkRunTopology measures one run's topology lifecycle as the grid
+// experiments pay it: build the layout, install a wormhole, read a neighbor
+// list (what the first broadcast does), tear the tunnel down.
+func BenchmarkRunTopology(b *testing.B) {
+	for _, tc := range []struct {
+		name  string
+		build func() *topology.Network
+	}{
+		{"cluster-1tier", func() *topology.Network { return topology.Cluster(1, 2) }},
+		{"cluster-3tier", func() *topology.Network { return topology.Cluster(3, 2) }},
+		{"uniform10x6", func() *topology.Network { return topology.Uniform(10, 6, 1, 2) }},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				net := tc.build()
+				sc := attack.NewScenario(net, 1, attack.Forward)
+				if len(net.Topo.Neighbors(net.AttackerPairs[0][0])) == 0 {
+					b.Fatal("attacker has no neighbors")
+				}
+				sc.Teardown()
+			}
+		})
+	}
+}
+
 // discoverOnce runs one MR discovery on a 1-tier cluster with one wormhole.
 func discoverOnce(seed uint64, p routing.Protocol, worms int) *routing.Discovery {
 	net := topology.Cluster(1, 2)

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"slices"
+	"sync"
 
 	"samnet/internal/geom"
 )
@@ -46,19 +48,41 @@ func (n *Network) PickPair(rng *rand.Rand) (src, dst NodeID) {
 }
 
 // TunnelSpan returns the normal-path hop distance between the endpoints of
-// attacker pair i, computed with all tunnels removed. It measures how many
-// hops the wormhole shortcuts.
+// attacker pair i, ignoring every tunnel. It measures how many hops the
+// wormhole shortcuts. It only reads the topology.
 func (n *Network) TunnelSpan(i int) int {
 	pair := n.AttackerPairs[i]
-	extras := n.Topo.ExtraLinks()
-	for _, l := range extras {
-		n.Topo.RemoveExtraLink(l.A, l.B)
+	return n.Topo.radioHopDist(pair[0], pair[1])
+}
+
+// clone returns a copy of n that can be mutated independently: its own
+// topology (see Topology.clone), pools and attacker pairs.
+func (n *Network) clone() *Network {
+	return &Network{
+		Topo:          n.Topo.clone(),
+		SrcPool:       slices.Clone(n.SrcPool),
+		DstPool:       slices.Clone(n.DstPool),
+		AttackerPairs: slices.Clone(n.AttackerPairs),
 	}
-	d := n.Topo.HopDist(pair[0], pair[1])
-	for _, l := range extras {
-		n.Topo.AddExtraLink(l.A, l.B)
+}
+
+// gridKey identifies one deterministic grid layout by its builder's
+// arguments; cols and rows are zero for the cluster system.
+type gridKey struct {
+	cols, rows, k, wormholes int
+}
+
+// grids holds one frozen prototype per grid layout built so far. Cluster and
+// Uniform are pure functions of their arguments, so each layout is built
+// once and every call returns a clone of its prototype.
+var grids sync.Map // gridKey -> *Network
+
+func gridClone(key gridKey, build func() *Network) *Network {
+	p, ok := grids.Load(key)
+	if !ok {
+		p, _ = grids.LoadOrStore(key, build())
 	}
-	return d
+	return p.(*Network).clone()
 }
 
 // Cluster builds the paper's 2-cluster system (Fig. 1): two 4x4 clusters
@@ -72,7 +96,13 @@ func (n *Network) TunnelSpan(i int) int {
 // cluster-topology routes affected. Attackers are removed from the
 // source/destination pools. wormholes may be 0..2; pair 1 claims (2,2) and
 // (11,1).
+//
+// Each call returns a fresh network that the caller may mutate freely.
 func Cluster(k, wormholes int) *Network {
+	return gridClone(gridKey{k: k, wormholes: wormholes}, func() *Network { return buildCluster(k, wormholes) })
+}
+
+func buildCluster(k, wormholes int) *Network {
 	if k < 1 {
 		panic("topology: tier must be >= 1")
 	}
@@ -117,7 +147,13 @@ func Cluster(k, wormholes int) *Network {
 // the paper's tunnel spans exactly — 6 hops in the 6x6 grid, 10 hops in the
 // 10x6 grid of Fig. 8. wormholes may be 0..2; pair 1 claims (1,0) and
 // (cols-2,rows-1).
+//
+// Each call returns a fresh network that the caller may mutate freely.
 func Uniform(cols, rows, k, wormholes int) *Network {
+	return gridClone(gridKey{cols, rows, k, wormholes}, func() *Network { return buildUniform(cols, rows, k, wormholes) })
+}
+
+func buildUniform(cols, rows, k, wormholes int) *Network {
 	if cols < 3 || rows < 3 {
 		panic("topology: uniform grid too small")
 	}

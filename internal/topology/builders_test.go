@@ -268,12 +268,23 @@ func TestKTierNeighborhoodMatchesPaperDefinition(t *testing.T) {
 	}
 }
 
+var netSink *Network
+
+// BenchmarkClusterBuild measures the 2-cluster layout built from scratch
+// (cold, once per process) and handed out per run (clone of the prototype).
 func BenchmarkClusterBuild(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		net := Cluster(1, 2)
-		net.Topo.Freeze()
-	}
+	b.Run("cold", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			netSink = buildCluster(1, 2)
+		}
+	})
+	b.Run("clone", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			netSink = Cluster(1, 2)
+		}
+	})
 }
 
 func BenchmarkBFSDist(b *testing.B) {

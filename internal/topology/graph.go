@@ -1,7 +1,7 @@
 package topology
 
 // Graph utilities over a topology's connectivity: BFS distances, shortest
-// paths and connectivity checks. All of them treat tunnels as ordinary
+// paths and connectivity checks. The exported ones treat tunnels as ordinary
 // one-hop links, matching how routing sees the network.
 
 // BFSDist returns, for every node, its hop distance from src, or -1 if
@@ -142,4 +142,26 @@ func (t *Topology) Diameter() int {
 		}
 	}
 	return max
+}
+
+// radioHopDist returns the hop distance between a and b over radio links
+// only, or -1 if they are disconnected without tunnels.
+func (t *Topology) radioHopDist(a, b NodeID) int {
+	dist := make([]int, t.N())
+	for i := range dist {
+		dist[i] = -1
+	}
+	dist[a] = 0
+	queue := []NodeID{a}
+	for len(queue) > 0 {
+		u := queue[0]
+		queue = queue[1:]
+		for _, v := range t.Neighbors(u) {
+			if dist[v] == -1 && t.InRange(u, v) {
+				dist[v] = dist[u] + 1
+				queue = append(queue, v)
+			}
+		}
+	}
+	return dist[b]
 }

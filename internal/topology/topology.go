@@ -9,6 +9,8 @@ package topology
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 
 	"samnet/internal/geom"
@@ -61,9 +63,16 @@ func (l Link) Other(id NodeID) NodeID {
 // String implements fmt.Stringer.
 func (l Link) String() string { return fmt.Sprintf("%d-%d", l.A, l.B) }
 
-// Topology is an immutable-after-build node layout plus connectivity.
-// It is not safe for concurrent mutation; concurrent reads are fine once
-// building has finished (Freeze, or any read method, computes adjacency).
+// Topology is a node layout plus connectivity. It is not safe for
+// concurrent mutation; concurrent reads are fine once adjacency is built
+// (Freeze, or any read method, builds it).
+//
+// Neighbor lists are copy-on-write: once handed out, a list is never edited.
+// Adding or removing a tunnel replaces the two endpoint lists with fresh
+// copies, and moving or adding a node rebuilds every list, so a slice
+// returned by Neighbors keeps its contents for as long as the caller holds
+// it. The simulator relies on this to share neighbor lists in queued
+// deliveries, and the grid builders to share them between clones.
 type Topology struct {
 	name   string
 	pos    []geom.Point
@@ -123,21 +132,36 @@ func (t *Topology) Positions() []geom.Point {
 // AddExtraLink installs an out-of-band link between a and b regardless of
 // their distance. Wormhole tunnels are modeled this way: the two attacker
 // nodes behave like one-hop neighbors no matter how far apart they sit.
+// Adding a link that is already present is a no-op.
 func (t *Topology) AddExtraLink(a, b NodeID) {
 	if a == b {
 		panic("topology: self link")
 	}
 	t.checkID(a)
 	t.checkID(b)
-	t.extra[MkLink(a, b)] = true
-	t.adj = nil
+	l := MkLink(a, b)
+	if t.extra[l] {
+		return
+	}
+	t.extra[l] = true
+	if t.adj != nil && !t.InRange(a, b) {
+		t.adj[a] = insertSorted(make([]NodeID, 0, len(t.adj[a])+1), t.adj[a], b)
+		t.adj[b] = insertSorted(make([]NodeID, 0, len(t.adj[b])+1), t.adj[b], a)
+	}
 }
 
 // RemoveExtraLink removes a previously installed out-of-band link. It is a
 // no-op if the link is not present.
 func (t *Topology) RemoveExtraLink(a, b NodeID) {
-	delete(t.extra, MkLink(a, b))
-	t.adj = nil
+	l := MkLink(a, b)
+	if !t.extra[l] {
+		return
+	}
+	delete(t.extra, l)
+	if t.adj != nil && !t.InRange(a, b) {
+		t.adj[a] = withoutNeighbor(t.adj[a], b)
+		t.adj[b] = withoutNeighbor(t.adj[b], a)
+	}
 }
 
 // HasExtraLink reports whether an out-of-band link exists between a and b.
@@ -208,15 +232,44 @@ func (t *Topology) checkID(id NodeID) {
 	}
 }
 
+// build fills the radio adjacency in one scan of the node pairs, into a
+// single backing array sized by a first, counting scan. Scanning i in
+// ascending order appends every list's entries in ascending order, so no
+// sort is needed; tunnels are then merged by sorted insert, and a tunnel
+// that doubles a radio link changes no list.
 func (t *Topology) build() {
 	if t.adj != nil {
 		return
 	}
 	n := len(t.pos)
-	adj := make([][]NodeID, n)
 	r2 := t.radius * t.radius
-	// O(n^2) is fine at the paper's scales (tens of nodes); a grid index
-	// would only pay off far beyond them.
+	deg := make([]int, n)
+	total := 0
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			if t.pos[i].Dist2(t.pos[j]) <= r2 {
+				deg[i]++
+				deg[j]++
+				total += 2
+			}
+		}
+	}
+	for l := range t.extra {
+		if !t.InRange(l.A, l.B) {
+			deg[l.A]++
+			deg[l.B]++
+			total += 2
+		}
+	}
+	backing := make([]NodeID, total)
+	adj := make([][]NodeID, n)
+	off := 0
+	for i, d := range deg {
+		// Capacity-capped, so a stray append can never spill into the
+		// next node's list.
+		adj[i] = backing[off : off : off+d]
+		off += d
+	}
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			if t.pos[i].Dist2(t.pos[j]) <= r2 {
@@ -226,26 +279,45 @@ func (t *Topology) build() {
 		}
 	}
 	for l := range t.extra {
-		adj[l.A] = append(adj[l.A], l.B)
-		adj[l.B] = append(adj[l.B], l.A)
-	}
-	for i := range adj {
-		sort.Slice(adj[i], func(a, b int) bool { return adj[i][a] < adj[i][b] })
-		// Deduplicate in case a tunnel doubles a radio link.
-		adj[i] = dedupSorted(adj[i])
+		if !t.InRange(l.A, l.B) {
+			adj[l.A] = insertSorted(adj[l.A], adj[l.A], l.B)
+			adj[l.B] = insertSorted(adj[l.B], adj[l.B], l.A)
+		}
 	}
 	t.adj = adj
 }
 
-func dedupSorted(s []NodeID) []NodeID {
-	if len(s) < 2 {
-		return s
-	}
-	out := s[:1]
-	for _, v := range s[1:] {
-		if v != out[len(out)-1] {
-			out = append(out, v)
-		}
-	}
+// insertSorted writes the sorted list s with v inserted in order into dst
+// and returns it. dst must have capacity for len(s)+1 entries; it may alias
+// s, which build uses to insert into a list's spare capacity.
+func insertSorted(dst, s []NodeID, v NodeID) []NodeID {
+	i, _ := slices.BinarySearch(s, v)
+	dst = dst[:len(s)+1]
+	copy(dst[i+1:], s[i:])
+	copy(dst[:i], s[:i])
+	dst[i] = v
+	return dst
+}
+
+// withoutNeighbor returns a fresh copy of the sorted list s without v,
+// which s must contain.
+func withoutNeighbor(s []NodeID, v NodeID) []NodeID {
+	i, _ := slices.BinarySearch(s, v)
+	out := make([]NodeID, len(s)-1)
+	copy(out, s[:i])
+	copy(out[i:], s[i+1:])
 	return out
+}
+
+// clone returns a copy of t that can be mutated independently. The neighbor
+// lists themselves are shared, which copy-on-write makes safe: t's lists are
+// never edited, and the clone replaces rather than edits its own.
+func (t *Topology) clone() *Topology {
+	return &Topology{
+		name:   t.name,
+		pos:    slices.Clone(t.pos),
+		radius: t.radius,
+		extra:  maps.Clone(t.extra),
+		adj:    slices.Clone(t.adj),
+	}
 }
