@@ -219,9 +219,9 @@ func BenchmarkAblationSMRRule(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationWaitWindow sweeps the destination's collection slack —
-// the paper's "certain amount of time" design parameter.
-func BenchmarkAblationWaitWindow(b *testing.B) {
+// BenchmarkAblationHopSlack sweeps the destination's collection slack —
+// the paper's "certain amount of time" design parameter, in hops.
+func BenchmarkAblationHopSlack(b *testing.B) {
 	for _, slack := range []struct {
 		name  string
 		value int

@@ -26,7 +26,7 @@ func serialize(a *trace.Artifact) string {
 // MapGrid, serial folds).
 func TestExperimentsDeterministicAcrossWorkers(t *testing.T) {
 	levels := []int{1, 4, runtime.GOMAXPROCS(0)}
-	for _, id := range []string{"table1", "table2", "fig5", "fig15", "detection", "loss", "pdr"} {
+	for _, id := range []string{"table1", "table2", "fig5", "fig15", "detection", "loss", "pdr", "protocols", "blackhole"} {
 		d, err := ByID(id)
 		if err != nil {
 			t.Fatal(err)

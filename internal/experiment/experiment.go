@@ -224,7 +224,7 @@ func buildRandom() func(Config, int) *topology.Network {
 	}
 }
 
-func mrProtocol() routing.Protocol  { return &mr.Protocol{SuppressReplies: false} }
+func mrProtocol() routing.Protocol  { return &mr.Protocol{} }
 func dsrProtocol() routing.Protocol { return &dsr.Protocol{} }
 
 // Cond is a small helper assembling a Condition.

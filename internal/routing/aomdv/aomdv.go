@@ -19,8 +19,6 @@
 package aomdv
 
 import (
-	"slices"
-
 	"samnet/internal/routing"
 	"samnet/internal/sim"
 	"samnet/internal/topology"
@@ -82,18 +80,14 @@ func (t *Table) Best() (ReverseEntry, bool) {
 
 // Protocol is the AOMDV discovery protocol.
 type Protocol struct {
-	// MaxRoutes caps the destination's link-disjoint replies (default 3).
-	MaxRoutes int
 	// SinglePath degrades the protocol to plain AODV — one reverse entry
 	// per node, one route at the destination — the single-path counterpart
 	// the paper names next to DSR. Used by the protocols experiment.
 	SinglePath bool
-	// SuppressReplies skips the RREP phase.
-	SuppressReplies bool
-	// InspectTables, if set, receives the per-node reverse-route tables at
-	// the end of each discovery — the hook the loop-freedom tests use.
-	InspectTables func(map[topology.NodeID]*Table)
 }
+
+// maxRoutes caps the destination's link-disjoint replies.
+const maxRoutes = 3
 
 // Name implements routing.Protocol.
 func (p *Protocol) Name() string {
@@ -105,13 +99,13 @@ func (p *Protocol) Name() string {
 
 // Discover implements routing.Protocol.
 func (p *Protocol) Discover(net *sim.Network, src, dst topology.NodeID) *routing.Discovery {
-	maxRoutes := p.MaxRoutes
-	if maxRoutes == 0 {
-		maxRoutes = 3
-	}
-	if p.SinglePath {
-		maxRoutes = 1
-	}
+	d, _ := p.discover(net, src, dst)
+	return d
+}
+
+// discover runs one discovery and also returns the per-node reverse-route
+// tables it built, which the loop-freedom test inspects.
+func (p *Protocol) discover(net *sim.Network, src, dst topology.NodeID) (*routing.Discovery, map[topology.NodeID]*Table) {
 	run := &aomdvRun{
 		proto:     p,
 		src:       src,
@@ -120,30 +114,24 @@ func (p *Protocol) Discover(net *sim.Network, src, dst topology.NodeID) *routing
 		tables:    make(map[topology.NodeID]*Table),
 		seenPair:  make(map[[2]topology.NodeID]bool),
 	}
+	if p.SinglePath {
+		run.maxRoutes = 1
+	}
 	net.SetAllHandlers(run)
 	net.Schedule(0, func() {
 		net.Broadcast(src, &routing.RREQ{ReqID: 1, Src: src, Dst: dst, Path: routing.Route{src}})
 	})
 	net.Run()
-	if p.InspectTables != nil {
-		p.InspectTables(run.tables)
-	}
 
-	d := &routing.Discovery{Protocol: p.Name(), Src: src, Dst: dst, Routes: run.routes}
-	if len(run.arrivalTimes) > 0 {
-		d.FirstArrival = run.arrivalTimes[0]
-		d.LastArrival = run.arrivalTimes[len(run.arrivalTimes)-1]
+	d := &routing.Discovery{Protocol: p.Name(), Src: src, Dst: dst, Routes: run.routes, Times: run.arrivalTimes}
+	for _, r := range run.routes {
+		r := r
+		net.Schedule(0, func() { run.sendRREP(net, r) })
 	}
-	if !p.SuppressReplies {
-		for _, r := range run.routes {
-			r := r
-			net.Schedule(0, func() { run.sendRREP(net, r) })
-		}
-		net.Run()
-		d.Replies = run.replies
-	}
+	net.Run()
+	d.Replies = run.replies
 	d.TxTotal, d.RxTotal = net.TotalTraffic()
-	return d
+	return d, run.tables
 }
 
 type aomdvRun struct {
@@ -237,14 +225,4 @@ func (a *aomdvRun) recvRREP(net *sim.Network, self topology.NodeID, p *routing.R
 		return
 	}
 	net.Unicast(self, best.NextHop, &routing.RREP{ReqID: p.ReqID, Route: p.Route, Pos: -1})
-}
-
-// SortedNodes returns table keys in ascending order (test helper).
-func SortedNodes(tables map[topology.NodeID]*Table) []topology.NodeID {
-	out := make([]topology.NodeID, 0, len(tables))
-	for id := range tables {
-		out = append(out, id)
-	}
-	slices.Sort(out)
-	return out
 }

@@ -1,6 +1,7 @@
 package aomdv
 
 import (
+	"slices"
 	"testing"
 
 	"samnet/internal/attack"
@@ -70,11 +71,16 @@ func TestDiscoverFindsMultipleDisjointishRoutes(t *testing.T) {
 
 func TestMaxRoutesCap(t *testing.T) {
 	net := topology.Uniform(6, 6, 1, 0)
-	s := sim.NewNetwork(net.Topo, sim.Config{Seed: 2})
 	src, dst := net.SrcPool[1], net.DstPool[len(net.DstPool)-2]
-	d := (&Protocol{MaxRoutes: 2}).Discover(s, src, dst)
-	if len(d.Routes) > 2 {
-		t.Errorf("routes = %d, cap 2", len(d.Routes))
+	for _, c := range []struct {
+		p   *Protocol
+		cap int
+	}{{&Protocol{}, maxRoutes}, {&Protocol{SinglePath: true}, 1}} {
+		s := sim.NewNetwork(net.Topo, sim.Config{Seed: 2})
+		d := c.p.Discover(s, src, dst)
+		if len(d.Routes) == 0 || len(d.Routes) > c.cap {
+			t.Errorf("%s: routes = %d, cap %d", c.p.Name(), len(d.Routes), c.cap)
+		}
 	}
 }
 
@@ -83,15 +89,13 @@ func TestReverseTablesLoopFree(t *testing.T) {
 	// to a node whose own best distance to the source is strictly smaller,
 	// so next-hop chains terminate at the source.
 	net := topology.Uniform(10, 6, 1, 0)
-	var tables map[topology.NodeID]*Table
-	p := &Protocol{InspectTables: func(tb map[topology.NodeID]*Table) { tables = tb }}
 	s := sim.NewNetwork(net.Topo, sim.Config{Seed: 3})
 	src, dst := net.SrcPool[0], net.DstPool[len(net.DstPool)-1]
-	p.Discover(s, src, dst)
+	_, tables := (&Protocol{}).discover(s, src, dst)
 	if len(tables) == 0 {
 		t.Fatal("no reverse tables built")
 	}
-	for _, id := range SortedNodes(tables) {
+	for _, id := range sortedNodes(tables) {
 		tab := tables[id]
 		for _, e := range tab.Entries {
 			if e.Hops > tab.Advertised {
@@ -145,6 +149,16 @@ func TestWormholeCapturesAOMDVRoutes(t *testing.T) {
 	if st.PMax == 0 {
 		t.Error("no statistics")
 	}
+}
+
+// sortedNodes returns table keys in ascending order.
+func sortedNodes(tables map[topology.NodeID]*Table) []topology.NodeID {
+	out := make([]topology.NodeID, 0, len(tables))
+	for id := range tables {
+		out = append(out, id)
+	}
+	slices.Sort(out)
+	return out
 }
 
 func TestName(t *testing.T) {

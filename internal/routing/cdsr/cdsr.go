@@ -1,11 +1,10 @@
-// Package cdsr implements DSR with route caching and intermediate-node
-// replies — the protocol feature the paper's Section IV singles out as a
+// Package cdsr implements DSR with intermediate-node replies enabled — the
+// protocol feature (route caching) the paper's Section IV singles out as a
 // blackhole vector: "attackers do not follow the protocol and reply early
-// without cache lookup". An intermediate node holding a cached path to the
-// destination answers the RREQ itself instead of forwarding; a blackhole
-// attacker simply answers every RREQ instantly with a fabricated one-hop
-// claim to the destination, capturing the source's route before honest
-// replies arrive.
+// without cache lookup". Only that early-reply attacker is modeled: it
+// answers every RREQ instantly with a fabricated one-hop claim to the
+// destination, capturing the source's route before honest replies arrive.
+// Honest intermediate nodes hold no cache and simply forward.
 //
 // The paper's MR forbids intermediate replies entirely, which is why it
 // "provides certain level of resistance to blackhole attack as well"; the
@@ -18,13 +17,10 @@ import (
 	"samnet/internal/topology"
 )
 
-// Protocol is cache-enabled DSR. Unlike the flooding protocols, its
-// Discovery.Routes holds the routes the SOURCE received (reply arrival
-// order) — the set it would actually send data on.
+// Protocol is DSR that admits intermediate replies. Unlike the flooding
+// protocols, its Discovery.Routes holds the routes the SOURCE received
+// (reply arrival order) — the set it would actually send data on.
 type Protocol struct {
-	// Caches are the pre-warmed per-node route caches (nil entries mean an
-	// empty cache). Use WarmCaches to populate them from a prior discovery.
-	Caches map[topology.NodeID]*routing.Cache
 	// Malicious nodes reply to every RREQ instantly with a fabricated
 	// route claiming the destination is their neighbor.
 	Malicious map[topology.NodeID]bool
@@ -44,24 +40,6 @@ func (p *Protocol) Discover(net *sim.Network, src, dst topology.NodeID) *routing
 	d := &routing.Discovery{Protocol: p.Name(), Src: src, Dst: dst, Routes: run.received}
 	d.TxTotal, d.RxTotal = net.TotalTraffic()
 	return d
-}
-
-// WarmCaches runs one clean MR-style warm-up discovery and feeds every
-// discovered route to the caches of the nodes on it, mimicking the steady
-// state of a network that has been routing for a while.
-func WarmCaches(routes []routing.Route, capacity int) map[topology.NodeID]*routing.Cache {
-	caches := make(map[topology.NodeID]*routing.Cache)
-	for _, r := range routes {
-		for _, id := range r {
-			c := caches[id]
-			if c == nil {
-				c = routing.NewCache(id, capacity)
-				caches[id] = c
-			}
-			c.Add(r)
-		}
-	}
-	return caches
 }
 
 type cdsrRun struct {
@@ -104,18 +82,6 @@ func (c *cdsrRun) recvRREQ(net *sim.Network, self, from topology.NodeID, q *rout
 		return
 	}
 
-	if cache := c.proto.Caches[self]; cache != nil {
-		if suffix, ok := cache.Lookup(c.dst); ok {
-			// Honest cached reply: splice the request path with the cached
-			// suffix (suffix[0] == self).
-			route := append(q.Path.Clone(), suffix...)
-			if route.Simple() {
-				sendReply(net, route, q.Path.Hops()+1)
-				return
-			}
-		}
-	}
-
 	if c.seen[self] {
 		return
 	}
@@ -125,10 +91,10 @@ func (c *cdsrRun) recvRREQ(net *sim.Network, self, from topology.NodeID, q *rout
 
 // sendReply starts an RREP from route[replier] back toward the source.
 // replier is the index of the node answering the request: the destination
-// for real replies, the caching node for cached replies, the attacker for
-// fabricated ones. The hops below replier were traversed by the request, so
-// the reverse unicasts are all adjacent; hops above replier are claims the
-// replier makes (possibly fabricated) that the reply never touches.
+// for real replies, the attacker for fabricated ones. The hops below
+// replier were traversed by the request, so the reverse unicasts are all
+// adjacent; hops above replier are claims the replier makes (possibly
+// fabricated) that the reply never touches.
 func sendReply(net *sim.Network, route routing.Route, replier int) {
 	if replier <= 0 || replier >= len(route) {
 		return

@@ -14,13 +14,6 @@ import (
 
 // Protocol is DSR route discovery. The zero value is ready to use.
 type Protocol struct {
-	// WaitWindow truncates the destination's collection window after the
-	// first arrival (0 = collect everything).
-	WaitWindow sim.Time
-	// HopSlack matches mr.Protocol.HopSlack: how many hops beyond the
-	// first-arriving route the destination admits. Zero selects the same
-	// default (2); mr.HopSlackStrict and mr.HopSlackNone apply here too.
-	HopSlack int
 	// SuppressReplies skips the RREP phase (analysis-only runs).
 	SuppressReplies bool
 	// Avoid excludes nodes from discovery (routing.FloodConfig.Avoid) —
@@ -31,26 +24,19 @@ type Protocol struct {
 	Forge routing.ForgeFunc
 }
 
+// hopSlack is how many hops beyond the first-arriving route the
+// destination admits, the same as mr.DefaultHopSlack.
+const hopSlack = 2
+
 // Name implements routing.Protocol.
 func (p *Protocol) Name() string { return "DSR" }
 
 // Discover implements routing.Protocol.
 func (p *Protocol) Discover(net *sim.Network, src, dst topology.NodeID) *routing.Discovery {
-	slack := 2
-	switch {
-	case p.HopSlack > 0:
-		slack = p.HopSlack
-	case p.HopSlack == -1: // mr.HopSlackStrict
-		slack = 0
-	case p.HopSlack == -2: // mr.HopSlackNone
-		slack = -1
-	}
 	return routing.RunDiscovery(net, src, dst, routing.FloodConfig{
 		Name:            p.Name(),
 		Rule:            rule,
-		ReplyAll:        true,
-		WaitWindow:      p.WaitWindow,
-		HopSlack:        slack,
+		HopSlack:        hopSlack,
 		SuppressReplies: p.SuppressReplies,
 		Avoid:           p.Avoid,
 		Forge:           p.Forge,

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"samnet/internal/attack"
+	"samnet/internal/geom"
 	"samnet/internal/routing"
 	"samnet/internal/sim"
 	"samnet/internal/topology"
@@ -81,21 +82,38 @@ func TestDSRRouteCountBoundedByDegree(t *testing.T) {
 	}
 }
 
-func TestDSRHopSlackSentinels(t *testing.T) {
-	net := topology.Uniform(6, 6, 1, 0)
-	src, dst := net.SrcPool[0], net.DstPool[len(net.DstPool)-1]
-	run := func(slack int) int {
-		s := sim.NewNetwork(net.Topo, sim.Config{Seed: 6})
-		return len((&Protocol{HopSlack: slack}).Discover(s, src, dst).Routes)
+// TestDSRHopSlackIsTwo pins DSR's destination filter at two hops of slack:
+// on a ring, the copy that goes the long way round reaches the destination
+// too, and only a filter would drop it.
+func TestDSRHopSlackIsTwo(t *testing.T) {
+	ring := func(n int) *topology.Topology {
+		// n nodes on the perimeter of a square, unit spacing: a cycle.
+		topo := topology.New("ring", 1.001)
+		side := n / 4
+		for i := 0; i < n; i++ {
+			x, y := i, 0
+			switch {
+			case i >= 3*side:
+				x, y = 0, 4*side-i
+			case i >= 2*side:
+				x, y = 3*side-i, side
+			case i >= side:
+				x, y = side, i-side
+			}
+			topo.AddNode(geom.Pt(float64(x), float64(y)))
+		}
+		return topo
 	}
-	strict := run(-1) // mr.HopSlackStrict
-	def := run(0)
-	loose := run(-2) // mr.HopSlackNone
-	wide := run(4)
-	if strict > def || def > loose {
-		t.Errorf("route counts should grow with slack: %d <= %d <= %d", strict, def, loose)
-	}
-	if wide < def {
-		t.Errorf("explicit wide slack (%d routes) below default (%d)", wide, def)
+	for _, c := range []struct {
+		n, want int // ring size; routes DSR keeps from node 0 to node 1
+	}{
+		{4, 2}, // 1 hop direct, 3 hops round: within the slack
+		{8, 1}, // 7 hops round: dropped
+	} {
+		topo := ring(c.n)
+		d := (&Protocol{}).Discover(sim.NewNetwork(topo, sim.Config{Seed: 1}), 0, 1)
+		if len(d.Routes) != c.want {
+			t.Errorf("ring of %d: DSR kept %d routes %v, want %d", c.n, len(d.Routes), d.Routes, c.want)
+		}
 	}
 }

@@ -10,18 +10,12 @@ import (
 
 // NodeState is the per-node, per-request bookkeeping the paper's forwarding
 // rules consult: the hop count and incoming link of the first copy received,
-// and how many copies the node has forwarded in total and per incoming link.
+// and how many copies the node has forwarded.
 type NodeState struct {
 	Seen      bool
 	FirstHops int
 	FirstFrom topology.NodeID
 	Forwarded int
-
-	// Per-incoming-link forward counts, as parallel slices: a node has a
-	// handful of neighbors, so a linear scan beats a map and the slices
-	// recycle across pooled discoveries.
-	fromIDs    []topology.NodeID
-	fromCounts []int
 
 	// gen tags which discovery last touched this entry; state is stored in
 	// a dense generation-tagged slice, so starting a discovery is O(1)
@@ -29,41 +23,9 @@ type NodeState struct {
 	gen uint64
 }
 
-// ForwardsFrom returns how many copies arriving via neighbor from this node
-// has already forwarded.
-func (st *NodeState) ForwardsFrom(from topology.NodeID) int {
-	for i, id := range st.fromIDs {
-		if id == from {
-			return st.fromCounts[i]
-		}
-	}
-	return 0
-}
-
-// AddForward records one forwarded copy that arrived via from. The flood
-// framework calls it on every forward; tests build states with it.
-func (st *NodeState) AddForward(from topology.NodeID) {
-	st.Forwarded++
-	for i, id := range st.fromIDs {
-		if id == from {
-			st.fromCounts[i]++
-			return
-		}
-	}
-	st.fromIDs = append(st.fromIDs, from)
-	st.fromCounts = append(st.fromCounts, 1)
-}
-
-// reset clears the state in place for a new discovery, keeping slice
-// capacity.
+// reset clears the state in place for a new discovery.
 func (st *NodeState) reset(gen uint64) {
-	st.Seen = false
-	st.FirstHops = 0
-	st.FirstFrom = 0
-	st.Forwarded = 0
-	st.fromIDs = st.fromIDs[:0]
-	st.fromCounts = st.fromCounts[:0]
-	st.gen = gen
+	*st = NodeState{gen: gen}
 }
 
 // ForwardRule decides whether node self forwards an RREQ copy that arrived
@@ -93,19 +55,13 @@ type FloodConfig struct {
 	// MaxForwards caps how many RREQ copies one intermediate node forwards
 	// per request (0 = unlimited). The paper's MR overhead (about twice
 	// DSR's, Table II) implies the first copy plus roughly one duplicate
-	// per node, so mr.Protocol defaults this to 2; the unlimited variant is
-	// kept for the ablation benchmark.
+	// per node, so mr.Protocol caps it (mr.DefaultMaxForwards); the
+	// unlimited variant is kept for the ablation benchmark.
 	MaxForwards int
-	// ReplyAll makes the destination reply to every collected route (DSR
-	// behaviour); otherwise it replies to up to MaxReplies maximally
-	// disjoint routes (SMR behaviour).
-	ReplyAll bool
-	// MaxReplies bounds replies when ReplyAll is false (default 2).
-	MaxReplies int
-	// WaitWindow truncates the collected route set to copies arriving
-	// within WaitWindow of the first arrival. Zero means no truncation:
-	// the destination collects until the flood dies out.
-	WaitWindow sim.Time
+	// Reply chooses which collected routes the destination answers, in
+	// the order returned. Nil answers every collected route (DSR
+	// behaviour); mr.Protocol passes the maximally disjoint pair of SMR.
+	Reply func([]Route) []Route
 	// HopSlack applies the paper's hop-count rule at the destination too:
 	// collected routes may exceed the first-arriving route's hop count by
 	// at most HopSlack (negative disables the filter). The paper's
@@ -271,9 +227,6 @@ func (f *floodRun) begin(net *sim.Network, src, dst topology.NodeID, cfg FloodCo
 // for the duration and clears them before returning; callers wanting a
 // pristine network should pass a fresh (or Reset) one.
 func RunDiscovery(net *sim.Network, src, dst topology.NodeID, cfg FloodConfig) *Discovery {
-	if cfg.MaxReplies == 0 {
-		cfg.MaxReplies = 2
-	}
 	if src == dst {
 		panic("routing: src == dst")
 	}
@@ -287,20 +240,12 @@ func RunDiscovery(net *sim.Network, src, dst topology.NodeID, cfg FloodConfig) *
 	net.Run()
 
 	d := &Discovery{Protocol: cfg.Name, Src: src, Dst: dst, FloodEnd: net.Now()}
-	routes, times := run.collectRoutes()
-	d.Routes = routes
-	d.Times = times
-	if len(run.arrivals) > 0 {
-		d.FirstArrival = run.arrivals[0].at
-		d.LastArrival = run.arrivals[len(run.arrivals)-1].at
-	}
+	d.Routes, d.Times = run.collectRoutes()
 
-	if !cfg.SuppressReplies && len(routes) > 0 {
-		var toReply []Route
-		if cfg.ReplyAll {
-			toReply = routes
-		} else {
-			toReply = SelectDisjoint(routes, cfg.MaxReplies)
+	if !cfg.SuppressReplies && len(d.Routes) > 0 {
+		toReply := d.Routes
+		if cfg.Reply != nil {
+			toReply = cfg.Reply(d.Routes)
 		}
 		for _, r := range toReply {
 			sendRREP(net, run.reqID, r)
@@ -323,16 +268,12 @@ func RunDiscovery(net *sim.Network, src, dst topology.NodeID, cfg FloodConfig) *
 	return d
 }
 
-// collectRoutes dedups arrivals and applies the wait window and hop slack,
-// preserving arrival order, then materializes the survivors out of the
-// arena into one backing slice, with each survivor's arrival time alongside.
+// collectRoutes dedups arrivals and applies the hop slack, preserving
+// arrival order, then materializes the survivors out of the arena into one
+// backing slice, with each survivor's arrival time alongside.
 func (f *floodRun) collectRoutes() ([]Route, []sim.Time) {
 	if len(f.arrivals) == 0 {
 		return nil, nil
-	}
-	cutoff := sim.Forever
-	if f.cfg.WaitWindow > 0 {
-		cutoff = f.arrivals[0].at + f.cfg.WaitWindow
 	}
 	maxHops := int32(^uint32(0) >> 1)
 	if f.cfg.HopSlack >= 0 {
@@ -342,7 +283,7 @@ func (f *floodRun) collectRoutes() ([]Route, []sim.Time) {
 	f.keptAt = f.keptAt[:0]
 	total := 0
 	for _, a := range f.arrivals {
-		if a.at > cutoff || f.arena.hops[a.ref] > maxHops {
+		if f.arena.hops[a.ref] > maxHops {
 			continue
 		}
 		dup := false
@@ -452,7 +393,7 @@ func (f *floodRun) recvRREQ(net *sim.Network, self, from topology.NodeID, q *RRE
 		st.FirstFrom = from
 	}
 	if forward {
-		st.AddForward(from)
+		st.Forwarded++
 		fwd := f.rreqs.get()
 		*fwd = RREQ{ReqID: q.ReqID, Src: q.Src, Dst: q.Dst, arena: &f.arena, ref: f.arena.push(f.refFor(q), self)}
 		net.Broadcast(self, fwd)
@@ -546,9 +487,4 @@ func ProbeRoutes(net *sim.Network, routes []Route) []ProbeResult {
 		out[i] = ProbeResult{Route: r, Acked: acked[uint64(i+1)]}
 	}
 	return out
-}
-
-// SortRoutesByHops orders routes by increasing hop count, stable.
-func SortRoutesByHops(routes []Route) {
-	slices.SortStableFunc(routes, func(a, b Route) int { return a.Hops() - b.Hops() })
 }

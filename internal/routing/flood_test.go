@@ -46,8 +46,8 @@ func TestRunDiscoveryLine(t *testing.T) {
 	if !d.Routes[0].Equal(want) {
 		t.Errorf("route = %v, want %v", d.Routes[0], want)
 	}
-	if d.FirstArrival <= 0 {
-		t.Error("FirstArrival not recorded")
+	if len(d.Times) != 1 || d.Times[0] <= 0 {
+		t.Errorf("arrival times = %v, want one positive time", d.Times)
 	}
 	if d.Overhead() == 0 {
 		t.Error("overhead not counted")
@@ -74,8 +74,12 @@ func TestRunDiscoveryRoutesAreValidAndSimple(t *testing.T) {
 		}
 	}
 	// No duplicates.
-	if got := len(DedupRoutes(d.Routes)); got != len(d.Routes) {
-		t.Errorf("route set contains duplicates: %d vs %d", got, len(d.Routes))
+	for i, r := range d.Routes {
+		for _, s := range d.Routes[i+1:] {
+			if r.Equal(s) {
+				t.Errorf("route set contains %v twice", r)
+			}
+		}
 	}
 }
 
@@ -118,7 +122,7 @@ func TestMaxForwardsBoundsPerNodeTransmissions(t *testing.T) {
 func TestRepliesTravelBackToSource(t *testing.T) {
 	topo := gridTopo(5, 1)
 	net := sim.NewNetwork(topo, sim.Config{Seed: 1})
-	d := RunDiscovery(net, 0, 4, FloodConfig{Name: "t", Rule: forwardFirst, MaxReplies: 1})
+	d := RunDiscovery(net, 0, 4, FloodConfig{Name: "t", Rule: forwardFirst})
 	if len(d.Replies) != 1 {
 		t.Fatalf("replies = %v", d.Replies)
 	}
@@ -162,8 +166,8 @@ func TestDiscoveryUnreachableDst(t *testing.T) {
 	if len(d.Routes) != 0 {
 		t.Errorf("routes to unreachable dst: %v", d.Routes)
 	}
-	if d.FirstArrival != 0 {
-		t.Error("FirstArrival should stay zero")
+	if len(d.Times) != 0 {
+		t.Errorf("arrival times at unreachable dst: %v", d.Times)
 	}
 }
 
@@ -227,43 +231,56 @@ func TestDiscoveryOverheadGrowsWithBudget(t *testing.T) {
 	}
 }
 
-func TestWaitWindowTruncatesCollection(t *testing.T) {
+// TestReplyPolicy pins FloodConfig.Reply: nil answers every collected
+// route, and a custom policy sees the collected routes in arrival order and
+// the destination answers exactly the routes it returns.
+func TestReplyPolicy(t *testing.T) {
 	topo := gridTopo(5, 4)
 	src, dst := nodeAt(topo, 0, 0), nodeAt(topo, 4, 3)
-	full := RunDiscovery(sim.NewNetwork(topo, sim.Config{Seed: 6}), src, dst,
-		FloodConfig{Name: "t", Rule: forwardAll, MaxForwards: 6, HopSlack: -1, SuppressReplies: true})
-	// A near-zero window keeps only copies arriving (essentially) with the
-	// first one.
-	tiny := RunDiscovery(sim.NewNetwork(topo, sim.Config{Seed: 6}), src, dst,
-		FloodConfig{Name: "t", Rule: forwardAll, MaxForwards: 6, HopSlack: -1,
-			WaitWindow: 0.001, SuppressReplies: true})
-	if len(tiny.Routes) >= len(full.Routes) {
-		t.Errorf("tiny window kept %d routes, full kept %d", len(tiny.Routes), len(full.Routes))
+	cfg := FloodConfig{Name: "t", Rule: forwardAll, MaxForwards: 4, HopSlack: 1}
+
+	all := RunDiscovery(sim.NewNetwork(topo, sim.Config{Seed: 5}), src, dst, cfg)
+	if len(all.Routes) < 3 {
+		t.Fatalf("want at least 3 collected routes, got %d", len(all.Routes))
 	}
-	if len(tiny.Routes) == 0 {
-		t.Error("the first arrival itself must always be kept")
+	assertSameRoutes(t, "nil policy", all.Replies, all.Routes)
+
+	var seen, chosen []Route
+	cfg.Reply = func(routes []Route) []Route {
+		seen = routes
+		chosen = []Route{routes[2], routes[0]}
+		return chosen
 	}
-	// The window is relative to the first arrival, so FirstArrival match.
-	if tiny.FirstArrival != full.FirstArrival {
-		t.Errorf("first arrivals differ: %v vs %v", tiny.FirstArrival, full.FirstArrival)
+	d := RunDiscovery(sim.NewNetwork(topo, sim.Config{Seed: 5}), src, dst, cfg)
+	if len(seen) != len(d.Routes) {
+		t.Fatalf("policy saw %d routes, discovery collected %d", len(seen), len(d.Routes))
 	}
+	for i := range seen {
+		if !seen[i].Equal(d.Routes[i]) {
+			t.Errorf("policy input %d = %v, want collected route %v", i, seen[i], d.Routes[i])
+		}
+	}
+	assertSameRoutes(t, "custom policy", d.Replies, chosen)
 }
 
-func TestWaitWindowLargeKeepsEverything(t *testing.T) {
-	topo := gridTopo(5, 4)
-	src, dst := nodeAt(topo, 0, 0), nodeAt(topo, 4, 3)
-	run := func(window sim.Time) *Discovery {
-		return RunDiscovery(sim.NewNetwork(topo, sim.Config{Seed: 6}), src, dst,
-			FloodConfig{Name: "t", Rule: forwardAll, MaxForwards: 6, HopSlack: -1,
-				WaitWindow: window, SuppressReplies: true})
+// assertSameRoutes checks that got holds exactly the routes of want, each
+// once: replies reach the source in arrival order, not send order.
+func assertSameRoutes(t *testing.T, label string, got, want []Route) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d replies, want %d", label, len(got), len(want))
 	}
-	full, wide := run(0), run(1e6)
-	if len(full.Routes) != len(wide.Routes) {
-		t.Fatalf("wide window kept %d routes, no window kept %d", len(wide.Routes), len(full.Routes))
-	}
-	for i := range full.Routes {
-		if !full.Routes[i].Equal(wide.Routes[i]) {
-			t.Errorf("route %d differs: %v vs %v", i, wide.Routes[i], full.Routes[i])
+	used := make([]bool, len(got))
+	for _, w := range want {
+		found := false
+		for i, g := range got {
+			if !used[i] && g.Equal(w) {
+				used[i], found = true, true
+				break
+			}
+		}
+		if !found {
+			t.Errorf("%s: route %v not answered (replies %v)", label, w, got)
 		}
 	}
 }
@@ -384,10 +401,15 @@ func TestArrivalTimesOrdered(t *testing.T) {
 	src, dst := nodeAt(topo, 0, 0), nodeAt(topo, 5, 3)
 	d := RunDiscovery(sim.NewNetwork(topo, sim.Config{Seed: 7}), src, dst,
 		FloodConfig{Name: "t", Rule: forwardAll, MaxForwards: 4, SuppressReplies: true})
-	if d.FirstArrival > d.LastArrival {
-		t.Errorf("FirstArrival %v after LastArrival %v", d.FirstArrival, d.LastArrival)
+	if len(d.Times) != len(d.Routes) || len(d.Times) == 0 {
+		t.Fatalf("%d arrival times for %d routes", len(d.Times), len(d.Routes))
 	}
-	if d.FirstArrival <= 0 {
+	if d.Times[0] <= 0 {
 		t.Error("arrivals not recorded")
+	}
+	for i := 1; i < len(d.Times); i++ {
+		if d.Times[i] < d.Times[i-1] {
+			t.Errorf("arrival %d at %v before arrival %d at %v", i, d.Times[i], i-1, d.Times[i-1])
+		}
 	}
 }

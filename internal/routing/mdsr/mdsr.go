@@ -15,97 +15,67 @@ import (
 )
 
 // Protocol is MDSR route discovery. The zero value is ready to use.
-type Protocol struct {
-	// MaxAlternates caps the disjoint alternate routes kept besides the
-	// primary (default 2).
-	MaxAlternates int
-	// SuppressReplies skips the RREP phase.
-	SuppressReplies bool
-}
+type Protocol struct{}
+
+// maxAlternates caps the disjoint alternate routes kept besides the primary.
+const maxAlternates = 2
 
 // Name implements routing.Protocol.
 func (p *Protocol) Name() string { return "MDSR" }
 
 // Discover implements routing.Protocol. It reuses the shared flooding
-// framework with DSR's forward-once rule, then prunes the destination's
-// collection to the primary route plus link-disjoint alternates.
+// framework with DSR's forward-once rule; the destination replies only to
+// the primary route plus link-disjoint alternates, and Routes (with Times)
+// is pruned to that same set.
 func (p *Protocol) Discover(net *sim.Network, src, dst topology.NodeID) *routing.Discovery {
-	maxAlt := p.MaxAlternates
-	if maxAlt == 0 {
-		maxAlt = 2
-	}
+	var keep []int
 	d := routing.RunDiscovery(net, src, dst, routing.FloodConfig{
-		Name:            p.Name(),
-		Rule:            func(self, from topology.NodeID, q *routing.RREQ, st *routing.NodeState) bool { return !st.Seen },
-		ReplyAll:        true,
-		HopSlack:        -1, // MDSR's destination sees every surviving copy
-		SuppressReplies: true,
+		Name:     p.Name(),
+		Rule:     func(self, from topology.NodeID, q *routing.RREQ, st *routing.NodeState) bool { return !st.Seen },
+		HopSlack: -1, // MDSR's destination sees every surviving copy
+		Reply: func(routes []routing.Route) []routing.Route {
+			keep = pruneDisjoint(routes, maxAlternates)
+			return pick(routes, keep)
+		},
 	})
-	d.Protocol = p.Name()
-	d.Routes = pruneDisjoint(d.Routes, maxAlt)
-
-	if !p.SuppressReplies && len(d.Routes) > 0 {
-		// Reply along each retained route (source-routed RREPs, as DSR).
-		// Rebuilding the reply phase here keeps the pruning decision local.
-		replies := replyPhase(net, d.Routes)
-		d.Replies = replies
-		d.TxTotal, d.RxTotal = net.TotalTraffic()
-	}
+	d.Routes, d.Times = pick(d.Routes, keep), pick(d.Times, keep)
 	return d
 }
 
-// pruneDisjoint keeps routes[0] (the primary) and up to maxAlt further
-// routes that share no link with any retained route — MDSR's destination
-// policy.
-func pruneDisjoint(routes []routing.Route, maxAlt int) []routing.Route {
+// pruneDisjoint returns the indices of the routes MDSR's destination keeps:
+// routes[0] (the primary) and up to maxAlt further routes that share no
+// link with any retained route, in order.
+func pruneDisjoint(routes []routing.Route, maxAlt int) []int {
 	if len(routes) == 0 {
 		return nil
 	}
-	kept := []routing.Route{routes[0]}
-	for _, c := range routes[1:] {
+	kept := []int{0}
+	for i, c := range routes[1:] {
 		if len(kept)-1 == maxAlt {
 			break
 		}
 		disjoint := true
 		for _, k := range kept {
-			if c.SharedLinks(k) > 0 {
+			if c.SharedLinks(routes[k]) > 0 {
 				disjoint = false
 				break
 			}
 		}
 		if disjoint {
-			kept = append(kept, c)
+			kept = append(kept, i+1)
 		}
 	}
 	return kept
 }
 
-// replyPhase sends one source-routed RREP per route and reports which made
-// it back (re-using the shared relay handlers installed by RunDiscovery).
-func replyPhase(net *sim.Network, routes []routing.Route) []routing.Route {
-	delivered := make([]routing.Route, 0, len(routes))
-	h := sim.HandlerFunc(func(n *sim.Network, self, from topology.NodeID, pkt sim.Packet) {
-		p, ok := pkt.(*routing.RREP)
-		if !ok || p.Route[p.Pos] != self {
-			return
-		}
-		if p.Pos == 0 {
-			delivered = append(delivered, p.Route)
-			return
-		}
-		n.Unicast(self, p.Route[p.Pos-1], &routing.RREP{ReqID: p.ReqID, Route: p.Route, Pos: p.Pos - 1})
-	})
-	net.SetAllHandlers(h)
-	for _, r := range routes {
-		r := r
-		if len(r) < 2 {
-			continue
-		}
-		net.Schedule(0, func() {
-			last := len(r) - 1
-			net.Unicast(r[last], r[last-1], &routing.RREP{ReqID: 1, Route: r.Clone(), Pos: last - 1})
-		})
+// pick returns xs[i] for each i in idx, or nil when idx is empty.
+func pick[T any](xs []T, idx []int) []T {
+	if len(idx) == 0 {
+		return nil
 	}
-	net.Run()
-	return delivered
+	out := make([]T, len(idx))
+	for j, i := range idx {
+		out[j] = xs[i]
+	}
+	return out
 }

@@ -16,11 +16,8 @@ func TestPruneDisjoint(t *testing.T) {
 	// Note: link (0,4) vs primary's (0,1): disjoint shares node 0 but no
 	// link — MDSR requires link-disjointness only.
 	got := pruneDisjoint([]routing.Route{primary, overlap, disjoint}, 2)
-	if len(got) != 2 {
-		t.Fatalf("kept %d routes", len(got))
-	}
-	if !got[0].Equal(primary) || !got[1].Equal(disjoint) {
-		t.Errorf("kept %v", got)
+	if len(got) != 2 || got[0] != 0 || got[1] != 2 {
+		t.Errorf("kept indices %v, want [0 2]", got)
 	}
 }
 

@@ -107,29 +107,9 @@ func TestSMRRequiresDifferentIncomingLink(t *testing.T) {
 	}
 }
 
-func TestPerLinkCapRule(t *testing.T) {
-	p := &Protocol{PerLink: 1}
-	st := &routing.NodeState{Seen: true, FirstHops: 3, FirstFrom: 7}
-	st.AddForward(7)
-	st.AddForward(7)
-	st.AddForward(8)
-	dup := &routing.RREQ{Path: routing.Route{0, 1, 2}}
-	// Link 7 is the first link: one extra slot beyond the first copy -> cap
-	// 2, already used.
-	if p.rule(9, 7, dup, st) {
-		t.Error("first link over cap should be dropped")
-	}
-	if p.rule(9, 8, dup, st) {
-		t.Error("other link at cap should be dropped")
-	}
-	if !p.rule(9, 6, dup, st) {
-		t.Error("unused link should be allowed")
-	}
-}
-
 func TestMRRepliesAreDisjointSelection(t *testing.T) {
 	net := topology.Uniform(6, 6, 1, 0)
-	d := discover(t, &Protocol{MaxReplies: 2}, net, 3)
+	d := discover(t, &Protocol{}, net, 3)
 	if len(d.Replies) == 0 || len(d.Replies) > 2 {
 		t.Fatalf("replies = %d", len(d.Replies))
 	}

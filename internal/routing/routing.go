@@ -225,10 +225,6 @@ type Discovery struct {
 	// implausibly early.
 	ReplyTimes []sim.Time
 
-	// FirstArrival and LastArrival are the virtual times of the first and
-	// last RREQ copies reaching the destination (0,0 if none did).
-	FirstArrival, LastArrival sim.Time
-
 	// FloodEnd is the virtual time the request flood died out — the moment
 	// the destination starts answering. Reply travel time is measured from
 	// it.
@@ -299,19 +295,4 @@ func SelectDisjoint(candidates []Route, max int) []Route {
 		picked = append(picked, candidates[best])
 	}
 	return picked
-}
-
-// DedupRoutes returns routes with exact duplicates removed, preserving first
-// occurrence order.
-func DedupRoutes(routes []Route) []Route {
-	seen := make(map[string]bool, len(routes))
-	var out []Route
-	for _, r := range routes {
-		k := r.String()
-		if !seen[k] {
-			seen[k] = true
-			out = append(out, r)
-		}
-	}
-	return out
 }

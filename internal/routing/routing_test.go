@@ -120,18 +120,6 @@ func TestSelectDisjointEdgeCases(t *testing.T) {
 	}
 }
 
-func TestDedupRoutes(t *testing.T) {
-	a := Route{0, 1, 2}
-	b := Route{0, 2, 1} // different order: distinct
-	routes := DedupRoutes([]Route{a, b, a.Clone(), b.Clone()})
-	if len(routes) != 2 {
-		t.Fatalf("dedup kept %d routes", len(routes))
-	}
-	if !routes[0].Equal(a) || !routes[1].Equal(b) {
-		t.Error("dedup must preserve first-occurrence order")
-	}
-}
-
 func TestDiscoveryAffectedBy(t *testing.T) {
 	tunnel := topology.MkLink(5, 6)
 	d := &Discovery{Routes: []Route{
@@ -146,13 +134,5 @@ func TestDiscoveryAffectedBy(t *testing.T) {
 	empty := &Discovery{}
 	if got := empty.AffectedBy(tunnel); got != 0 {
 		t.Errorf("empty AffectedBy = %v", got)
-	}
-}
-
-func TestSortRoutesByHops(t *testing.T) {
-	routes := []Route{{0, 1, 2, 3}, {0, 3}, {0, 1, 3}}
-	SortRoutesByHops(routes)
-	if routes[0].Hops() != 1 || routes[2].Hops() != 3 {
-		t.Errorf("sorted = %v", routes)
 	}
 }

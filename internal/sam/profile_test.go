@@ -38,4 +38,3 @@ func TestMarshalNilPMF(t *testing.T) {
 		t.Errorf("clone of PMF-less profile = %+v", c)
 	}
 }
-

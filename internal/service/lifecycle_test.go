@@ -272,7 +272,7 @@ func manyScenarios(t *testing.T, n int) []TrainScenarioJSON {
 	t.Helper()
 	out := make([]TrainScenarioJSON, n)
 	for i := range out {
-		out[i] = TrainScenarioJSON{Topo: "cluster", Profile: string(rune('a' + i%26)) + string(rune('0'+i/26))}
+		out[i] = TrainScenarioJSON{Topo: "cluster", Profile: string(rune('a'+i%26)) + string(rune('0'+i/26))}
 	}
 	return out
 }
