@@ -93,29 +93,43 @@ type pathArena struct {
 	node   []topology.NodeID
 	parent []int32
 	hops   []int32 // hop count of the path ending at this entry
+	// sig is a 64-bit Bloom signature of the path ending at this entry:
+	// bit node&63 is set for every node on it. A clear bit proves a node
+	// absent without walking the path.
+	sig []uint64
 }
 
 func (a *pathArena) reset() {
 	a.node = a.node[:0]
 	a.parent = a.parent[:0]
 	a.hops = a.hops[:0]
+	a.sig = a.sig[:0]
 }
+
+// sigBit is id's bit in a path signature.
+func sigBit(id topology.NodeID) uint64 { return 1 << (uint64(id) & 63) }
 
 // push appends node to the path ending at parent (-1 starts a path) and
 // returns the new entry's ref.
 func (a *pathArena) push(parent int32, node topology.NodeID) int32 {
 	var h int32
+	sig := sigBit(node)
 	if parent >= 0 {
 		h = a.hops[parent] + 1
+		sig |= a.sig[parent]
 	}
 	a.node = append(a.node, node)
 	a.parent = append(a.parent, parent)
 	a.hops = append(a.hops, h)
+	a.sig = append(a.sig, sig)
 	return int32(len(a.node) - 1)
 }
 
 // contains reports whether the path ending at ref traverses id.
 func (a *pathArena) contains(ref int32, id topology.NodeID) bool {
+	if a.sig[ref]&sigBit(id) == 0 {
+		return false
+	}
 	for i := ref; i >= 0; i = a.parent[i] {
 		if a.node[i] == id {
 			return true

@@ -99,15 +99,13 @@ func (r Route) Valid(t *topology.Topology) bool {
 	return true
 }
 
-// SharedLinks returns how many links r and s have in common.
+// SharedLinks returns how many links of s (counted with multiplicity) r
+// also traverses, in either direction. Routes are a few hops long, so the
+// pairwise scan beats building a link set.
 func (r Route) SharedLinks(s Route) int {
-	set := make(map[topology.Link]bool, len(r))
-	for _, l := range r.Links() {
-		set[l] = true
-	}
 	n := 0
-	for _, l := range s.Links() {
-		if set[l] {
+	for i := 0; i+1 < len(s); i++ {
+		if r.ContainsLink(topology.MkLink(s[i], s[i+1])) {
 			n++
 		}
 	}
@@ -272,8 +270,10 @@ func SelectDisjoint(candidates []Route, max int) []Route {
 	if max <= 0 || len(candidates) == 0 {
 		return nil
 	}
-	picked := []Route{candidates[0]}
-	used := map[int]bool{0: true}
+	picked := make([]Route, 1, min(max, len(candidates)))
+	picked[0] = candidates[0]
+	used := make([]bool, len(candidates))
+	used[0] = true
 	for len(picked) < max && len(picked) < len(candidates) {
 		best, bestShared, bestHops := -1, int(^uint(0)>>1), int(^uint(0)>>1)
 		for i, c := range candidates {

@@ -147,15 +147,9 @@ func (h *HybridDetector) Evaluate(s Stats, routes []routing.Route, times []sim.T
 	// Neighbor-table comparison over every link the route set claims.
 	if h.neighbors != nil {
 		for _, lc := range s.ByLink {
-			l := lc.Link
-			if !h.neighbors.Corroborated(l.A, l.B) {
+			if h.neighbors.suspect(lc.Link, h.cfg.DetourHops) {
 				v.ByNeighbor = true
-				v.SuspectLinks = append(v.SuspectLinks, l)
-				continue
-			}
-			if d := h.neighbors.DetourHops(l); d < 0 || d >= h.cfg.DetourHops {
-				v.ByNeighbor = true
-				v.SuspectLinks = append(v.SuspectLinks, l)
+				v.SuspectLinks = append(v.SuspectLinks, lc.Link)
 			}
 		}
 	}

@@ -36,7 +36,7 @@ func honestTimes(routes []routing.Route) []sim.Time {
 	return ts
 }
 
-func trainedHybrid(t *testing.T, nt *NeighborTables, cfg HybridConfig) *HybridDetector {
+func trainedHybrid(t testing.TB, nt *NeighborTables, cfg HybridConfig) *HybridDetector {
 	t.Helper()
 	tr := NewTrainer("hybrid-test", 0)
 	for v := 0; v < 12; v++ {
@@ -204,21 +204,27 @@ func TestNeighborTablesDetourHops(t *testing.T) {
 }
 
 func TestRadioNeighborTablesMatchesInRange(t *testing.T) {
-	net := topology.Cluster(1, 1)
-	w := topology.MkLink(net.AttackerPairs[0][0], net.AttackerPairs[0][1])
-	net.Topo.AddExtraLink(w.A, w.B)
-	defer net.Topo.RemoveExtraLink(w.A, w.B)
+	for _, net := range []*topology.Network{topology.Cluster(1, 1), topology.Uniform(6, 6, 1, 2)} {
+		var tunnels []topology.Link
+		for _, p := range net.AttackerPairs {
+			w := topology.MkLink(p[0], p[1])
+			net.Topo.AddExtraLink(w.A, w.B)
+			tunnels = append(tunnels, w)
+		}
 
-	nt := RadioNeighborTables(net.Topo)
-	if nt.Corroborated(w.A, w.B) {
-		t.Error("tunnel link must not enter honest radio tables")
-	}
-	n := net.Topo.N()
-	for a := 0; a < n; a++ {
-		for b := a + 1; b < n; b++ {
-			ida, idb := topology.NodeID(a), topology.NodeID(b)
-			if net.Topo.InRange(ida, idb) != nt.Corroborated(ida, idb) {
-				t.Fatalf("radio tables disagree with InRange at (%d,%d)", a, b)
+		nt := RadioNeighborTables(net.Topo)
+		for _, w := range tunnels {
+			if nt.Corroborated(w.A, w.B) {
+				t.Errorf("%s: tunnel link %v must not enter honest radio tables", net.Topo.Name(), w)
+			}
+		}
+		n := net.Topo.N()
+		for a := 0; a < n; a++ {
+			for b := a + 1; b < n; b++ {
+				ida, idb := topology.NodeID(a), topology.NodeID(b)
+				if net.Topo.InRange(ida, idb) != nt.Corroborated(ida, idb) {
+					t.Fatalf("%s: radio tables disagree with InRange at (%d,%d)", net.Topo.Name(), a, b)
+				}
 			}
 		}
 	}

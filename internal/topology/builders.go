@@ -192,7 +192,7 @@ type RandomConfig struct {
 	// position assumption.
 	Wormholes int
 	// MaxTries bounds the rejection sampling for a connected placement
-	// (default 1000).
+	// (default 2000).
 	MaxTries int
 }
 
