@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"samnet/internal/stats"
 	"samnet/internal/topology"
 )
 
@@ -179,7 +178,7 @@ func (d *Detector) Evaluate(s Stats) Verdict {
 
 	v.ZPMax = d.zScore(s.PMax, d.pmaxMean, d.profile.PMax.Std)
 	v.ZPhi = d.zScore(s.Phi, d.phiMean, d.profile.Phi.Std)
-	v.TV = stats.TVDistance(s.PMF(d.profile.PMF.Bins()), d.profile.PMF)
+	v.TV = s.tvDistance(d.profile.PMF)
 
 	riskP := ramp(v.ZPMax, d.cfg.ZLow, d.cfg.ZHigh)
 	riskPhi := ramp(v.ZPhi, d.cfg.ZLow, d.cfg.ZHigh)

@@ -2,6 +2,7 @@ package sam
 
 import (
 	"encoding/json"
+	"reflect"
 	"testing"
 
 	"samnet/internal/routing"
@@ -31,7 +32,8 @@ func fuzzRoutes(data []byte) []routing.Route {
 
 // FuzzAnalyze feeds Analyze arbitrary byte-derived route sets and checks its
 // invariants never break: no panics, frequencies sum to 1, phi and p_max in
-// range, and the suspect link (when N > 0) is one of the counted links.
+// range, and the suspect link (when N > 0) is one of the counted links. The
+// whole Stats must also equal the map-based reference's.
 func FuzzAnalyze(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 0, 5, 6, 0})
 	f.Add([]byte{})
@@ -50,6 +52,9 @@ func FuzzAnalyze(f *testing.F) {
 		routes := fuzzRoutes(data)
 
 		s := Analyze(routes)
+		if want := analyzeReference(routes); !reflect.DeepEqual(s, want) {
+			t.Fatalf("Analyze(%v)\n got  %+v\n want %+v", routes, s, want)
+		}
 		if s.N == 0 {
 			if s.PMax != 0 || s.Phi != 0 {
 				t.Fatalf("empty stats carry values: %+v", s)

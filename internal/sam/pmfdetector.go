@@ -1,7 +1,6 @@
 package sam
 
 import (
-	"samnet/internal/stats"
 	"samnet/internal/topology"
 )
 
@@ -66,7 +65,7 @@ func (d *PMFDetector) Evaluate(s Stats) PMFVerdict {
 		return v
 	}
 	v.SuspectLink = s.Suspect
-	v.TV = stats.TVDistance(s.PMF(d.profile.PMF.Bins()), d.profile.PMF)
+	v.TV = s.tvDistance(d.profile.PMF)
 	v.TailMass = d.profile.PMF.TailMass(s.PMax)
 	v.ByTV = v.TV >= d.TVThreshold
 	v.ByTail = v.TailMass < d.TailProb

@@ -61,7 +61,9 @@ func (t *Trainer) Observe(s Stats) {
 	}
 	t.pmaxAcc.Add(s.PMax)
 	t.phiAcc.Add(s.Phi)
-	t.pmf.AddAll(s.Frequencies())
+	for _, lc := range s.ByLink {
+		t.pmf.Add(lc.P)
+	}
 }
 
 // ObserveRoutes is shorthand for Observe(Analyze(routes)).

@@ -10,7 +10,11 @@
 package sam
 
 import (
+	"cmp"
 	"fmt"
+	"math"
+	"math/bits"
+	"math/rand/v2"
 	"slices"
 	"sync"
 
@@ -57,37 +61,57 @@ type Stats struct {
 
 // scratch holds the per-call working state of Analyze. Link counting is the
 // hot path of every experiment run and every service request, so the count
-// map is pooled and reused instead of reallocated per route set; only the
+// table is pooled and reused instead of reallocated per route set; only the
 // ByLink slice (which the returned Stats owns) is freshly allocated.
+//
+// The count table is open-addressed with linear probing. Its slot count is
+// a power of two and at least twice the call's N, so at most half the slots
+// fill whatever the links are, and it works for any NodeID: links are
+// stored whole, not packed into a key. used lists the occupied slots in
+// first-use order, so a reset zeroes only those. A zero count marks an
+// empty slot.
+//
+// Route sets can come from request bodies, so the hash is keyed: every call
+// draws fresh random multipliers. Node IDs picked to collide under a known
+// hash would pile every link into one probe cluster and make counting
+// quadratic; under an unknown key they spread like any other IDs. ByLink's
+// order never depends on the hash.
 type scratch struct {
-	counts map[topology.Link]int
+	slots  []linkSlot
+	shift  uint   // 64 - log2(len(slots)): hashes keep their high bits
+	k1, k2 uint64 // this call's hash key, both odd
+	used   []int
+	// next[c] is where the next link of count c lands in ByLink while
+	// ByLink is bucketed by count.
+	next []int
 }
 
-var scratchPool = sync.Pool{
-	New: func() any { return &scratch{counts: make(map[topology.Link]int, 128)} },
+type linkSlot struct {
+	link  topology.Link
+	count int
 }
+
+// maxRetainedSlots caps the count table a pooled scratch may keep (a
+// 384 KiB table, N up to 8192): a scratch grown past it by one huge route
+// set is dropped instead of pinning its memory in the pool.
+const maxRetainedSlots = 1 << 14
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
 // Analyze computes the SAM statistics of a route set.
 func Analyze(routes []routing.Route) Stats {
 	sc := scratchPool.Get().(*scratch)
-	s := analyzeInto(sc, routes)
-	clear(sc.counts)
-	scratchPool.Put(sc)
+	s := sc.analyze(routes)
+	if cap(sc.slots) <= maxRetainedSlots {
+		scratchPool.Put(sc)
+	}
 	return s
 }
 
-// analyzeInto computes the statistics using sc's buffers. sc.counts must be
-// empty on entry; the caller clears it afterwards.
-func analyzeInto(sc *scratch, routes []routing.Route) Stats {
-	var s Stats
-	s.Routes = len(routes)
-	counts := sc.counts
-	// Count links in place rather than materializing a Route.Links() slice
-	// per route.
+// analyze computes the statistics with sc's table and leaves it empty.
+func (sc *scratch) analyze(routes []routing.Route) Stats {
+	s := Stats{Routes: len(routes)}
 	for _, r := range routes {
-		for i := 0; i+1 < len(r); i++ {
-			counts[topology.MkLink(r[i], r[i+1])]++
-		}
 		if len(r) > 1 {
 			s.N += len(r) - 1
 		}
@@ -95,19 +119,9 @@ func analyzeInto(sc *scratch, routes []routing.Route) Stats {
 	if s.N == 0 {
 		return s
 	}
-	s.ByLink = make([]LinkCount, 0, len(counts))
-	for l, c := range counts {
-		s.ByLink = append(s.ByLink, LinkCount{Link: l, Count: c, P: float64(c) / float64(s.N)})
-	}
-	slices.SortFunc(s.ByLink, func(a, b LinkCount) int {
-		if a.Count != b.Count {
-			return b.Count - a.Count
-		}
-		if a.Link.A != b.Link.A {
-			return int(a.Link.A) - int(b.Link.A)
-		}
-		return int(a.Link.B) - int(b.Link.B)
-	})
+	sc.rekey()
+	sc.countLinks(routes, s.N)
+	s.ByLink = sc.byLink(s.N)
 	top := s.ByLink[0]
 	s.MaxLink = top.Link
 	s.NMax = top.Count
@@ -119,26 +133,130 @@ func analyzeInto(sc *scratch, routes []routing.Route) Stats {
 	// n_2nd == n_max and Phi = 0 — the paper's special case (attackers in
 	// the same row/column as source or destination).
 	s.Phi = float64(s.NMax-s.N2nd) / float64(s.NMax)
-	s.Suspect = localize(routes, s)
+	s.Suspect = sc.localize(routes, s)
+	sc.reset()
 	return s
 }
 
-// localize picks the accused link from the statistics. See Stats.Suspect.
-func localize(routes []routing.Route, s Stats) topology.Link {
-	ties := 0
-	for _, lc := range s.ByLink {
-		if lc.Count != s.NMax {
-			break // ByLink is sorted by decreasing count
-		}
-		ties++
+// rekey draws a new hash key. The table must be empty.
+func (sc *scratch) rekey() {
+	sc.k1, sc.k2 = rand.Uint64()|1, rand.Uint64()|1
+}
+
+// home returns l's home slot. Under a random key the multiply-add gives two
+// distinct links whose IDs differ by less than 2^32 the same 64-bit value
+// with odds below 2^-31; the xor-shift and multiply then spread those
+// values over the table. Without that last step, sets with additive
+// structure, such as IDs in an arithmetic progression, fill long probe
+// clusters under many keys.
+func (sc *scratch) home(l topology.Link) int {
+	h := uint64(l.A)*sc.k1 + uint64(l.B)*sc.k2
+	h ^= h >> 32
+	h *= 0xd6e8feb86659fd93
+	return int(h >> sc.shift)
+}
+
+// countLinks sizes the table for n links and counts every link of routes,
+// in place rather than through a Route.Links() slice per route.
+func (sc *scratch) countLinks(routes []routing.Route, n int) {
+	logSize := uint(bits.Len(uint(2*n - 1)))
+	size := 1 << logSize
+	if cap(sc.slots) < size {
+		sc.slots = make([]linkSlot, size)
 	}
-	if ties == 1 {
+	// A reset table is all zero up to its capacity, so a smaller view of
+	// a larger table is empty too.
+	sc.slots = sc.slots[:size]
+	sc.shift = 64 - logSize
+	for _, r := range routes {
+		for i := 0; i+1 < len(r); i++ {
+			l := topology.MkLink(r[i], r[i+1])
+			j := sc.find(l)
+			sl := &sc.slots[j]
+			if sl.count == 0 {
+				sl.link = l
+				sc.used = append(sc.used, j)
+			}
+			sl.count++
+		}
+	}
+}
+
+// find returns the slot holding l, or the empty slot where l belongs.
+func (sc *scratch) find(l topology.Link) int {
+	slots := sc.slots
+	j := sc.home(l)
+	for slots[j].count != 0 && slots[j].link != l {
+		j = (j + 1) & (len(slots) - 1)
+	}
+	return j
+}
+
+// countOf returns the occurrences of l counted by countLinks.
+func (sc *scratch) countOf(l topology.Link) int { return sc.slots[sc.find(l)].count }
+
+// byLink lists the counted links in Stats.ByLink order. One counting pass
+// buckets them by count, highest first; only runs of equal counts are then
+// sorted, by link.
+func (sc *scratch) byLink(n int) []LinkCount {
+	maxCount := 0
+	for _, j := range sc.used {
+		maxCount = max(maxCount, sc.slots[j].count)
+	}
+	if cap(sc.next) <= maxCount {
+		sc.next = make([]int, maxCount+1)
+	}
+	next := sc.next[:maxCount+1]
+	clear(next)
+	for _, j := range sc.used {
+		next[sc.slots[j].count]++
+	}
+	at := 0
+	for c := maxCount; c > 0; c-- {
+		at, next[c] = at+next[c], at
+	}
+	out := make([]LinkCount, len(sc.used))
+	for _, j := range sc.used {
+		sl := &sc.slots[j]
+		out[next[sl.count]] = LinkCount{Link: sl.link, Count: sl.count, P: float64(sl.count) / float64(n)}
+		next[sl.count]++
+	}
+	for lo := 0; lo < len(out); {
+		hi := lo + 1
+		for hi < len(out) && out[hi].Count == out[lo].Count {
+			hi++
+		}
+		if hi-lo > 1 {
+			slices.SortFunc(out[lo:hi], compareLinks)
+		}
+		lo = hi
+	}
+	return out
+}
+
+// compareLinks orders equal-count links by ascending endpoints.
+func compareLinks(a, b LinkCount) int {
+	if c := cmp.Compare(a.Link.A, b.Link.A); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Link.B, b.Link.B)
+}
+
+// reset zeroes the slots the last call used, leaving the table empty.
+func (sc *scratch) reset() {
+	for _, j := range sc.used {
+		sc.slots[j] = linkSlot{}
+	}
+	sc.used = sc.used[:0]
+}
+
+// localize picks the accused link from the statistics. See Stats.Suspect.
+// The tied links are those the table counted n_max times; asking the table
+// keeps a long single route, whose links all tie, linear.
+func (sc *scratch) localize(routes []routing.Route, s Stats) topology.Link {
+	if len(s.ByLink) == 1 || s.ByLink[1].Count != s.NMax {
 		// The common case: a unique maximum needs no tie-breaking state.
 		return s.MaxLink
-	}
-	top := make(map[topology.Link]bool, ties)
-	for _, lc := range s.ByLink[:ties] {
-		top[lc.Link] = true
 	}
 	// Every tied link appears n_max times; when n_max equals the route
 	// count they all lie on every route, so the first route orders them.
@@ -155,25 +273,65 @@ func localize(routes []routing.Route, s Stats) topology.Link {
 		return s.MaxLink
 	}
 	src, dst := ref[0], ref[len(ref)-1]
-	var ordered, filtered []topology.Link
+	// The tied links along ref form the ordered chain; those touching
+	// neither src nor dst form the filtered one. Count both, then walk
+	// ref again to the middle of the filtered chain, or of the ordered
+	// chain when nothing survives the filter.
+	ordered, filtered := 0, 0
 	for i := 0; i+1 < len(ref); i++ {
 		l := topology.MkLink(ref[i], ref[i+1])
-		if !top[l] {
+		if sc.countOf(l) != s.NMax {
 			continue
 		}
-		ordered = append(ordered, l)
-		if l.A != src && l.B != src && l.A != dst && l.B != dst {
-			filtered = append(filtered, l)
+		ordered++
+		if !touches(l, src, dst) {
+			filtered++
 		}
 	}
+	want, onlyFiltered := ordered/2, false
 	switch {
-	case len(filtered) > 0:
-		return filtered[len(filtered)/2]
-	case len(ordered) > 0:
-		return ordered[len(ordered)/2]
-	default:
+	case filtered > 0:
+		want, onlyFiltered = filtered/2, true
+	case ordered == 0:
 		return s.MaxLink
 	}
+	for i := 0; i+1 < len(ref); i++ {
+		l := topology.MkLink(ref[i], ref[i+1])
+		if sc.countOf(l) != s.NMax || onlyFiltered && touches(l, src, dst) {
+			continue
+		}
+		if want == 0 {
+			return l
+		}
+		want--
+	}
+	return s.MaxLink // unreachable: the first walk counted the chain
+}
+
+// touches reports whether l is incident to src or dst.
+func touches(l topology.Link, src, dst topology.NodeID) bool {
+	return l.A == src || l.B == src || l.A == dst || l.B == dst
+}
+
+// tvDistance is stats.TVDistance(s.PMF(p.Bins()), p) without building the
+// PMF. ByLink runs from the highest frequency down, so walking it backwards
+// meets the bins in ascending order, and the sum adds the same terms in the
+// same order as TVDistance: the result is bit-identical.
+func (s Stats) tvDistance(p *stats.PMF) float64 {
+	if len(s.ByLink) == 0 || p.Total == 0 {
+		return 0
+	}
+	total := float64(len(s.ByLink))
+	j := len(s.ByLink) - 1
+	var d float64
+	for i := range p.Counts {
+		n := 0
+		for ; j >= 0 && p.BinOf(s.ByLink[j].P) <= i; j-- {
+			n++
+		}
+		d += math.Abs(float64(n)/total - p.Prob(i))
+	}
+	return d / 2
 }
 
 // Frequencies returns all relative frequencies p_i (the samples whose PMF
@@ -191,7 +349,7 @@ func (s Stats) Frequencies() []float64 {
 func (s Stats) PMF(bins int) *stats.PMF {
 	p := stats.NewPMF(bins)
 	for _, lc := range s.ByLink {
-		p.Add(lc.P) // straight from ByLink: no Frequencies() slice
+		p.Add(lc.P)
 	}
 	return p
 }

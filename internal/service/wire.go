@@ -754,28 +754,51 @@ func (p *jparser) scanNumber() (lit []byte, isInt bool, err error) {
 
 // parseIntValue parses a JSON number that must fit an int64, rejecting
 // fractions and exponents the way encoding/json rejects them for int
-// targets.
+// targets. Integers are validated and converted in one pass. A '.', 'e' or
+// 'E' after the digits rescans the literal with scanNumber, which keeps the
+// error precedence: a malformed literal reports its syntax error, a
+// well-formed non-integer reports "not an integer", and only a well-formed
+// integer can report an overflow.
 func (p *jparser) parseIntValue() (int64, error) {
-	lit, isInt, err := p.scanNumber()
-	if err != nil {
-		return 0, err
-	}
-	if !isInt {
-		return 0, fmt.Errorf("invalid JSON body: number %s is not an integer", lit)
-	}
-	neg := false
-	digits := lit
-	if digits[0] == '-' {
-		neg = true
-		digits = digits[1:]
+	start := p.pos
+	neg := p.peek() == '-'
+	if neg {
+		p.pos++
 	}
 	var v int64
-	for _, c := range digits {
-		d := int64(c - '0')
-		if v > (math.MaxInt64-d)/10 {
-			return 0, fmt.Errorf("invalid JSON body: number %s overflows", lit)
+	overflow := false
+	switch c := p.peek(); {
+	case c == '0':
+		p.pos++
+	case '1' <= c && c <= '9':
+		// v*10+d overflows exactly when v passes cutoff, or meets it
+		// with d past MaxInt64's last digit.
+		const cutoff = math.MaxInt64 / 10
+		buf, i := p.buf, p.pos
+		for ; i < len(buf) && '0' <= buf[i] && buf[i] <= '9'; i++ {
+			d := int64(buf[i] - '0')
+			if v > cutoff || v == cutoff && d > math.MaxInt64%10 {
+				overflow = true
+			}
+			v = v*10 + d
 		}
-		v = v*10 + d
+		p.pos = i
+	default:
+		return 0, p.syntaxErr("expected number")
+	}
+	if c := p.peek(); c == '.' || c == 'e' || c == 'E' {
+		p.pos = start
+		lit, _, err := p.scanNumber()
+		if err != nil {
+			return 0, err
+		}
+		return 0, fmt.Errorf("invalid JSON body: number %s is not an integer", lit)
+	}
+	if err := p.boundary(); err != nil {
+		return 0, err
+	}
+	if overflow {
+		return 0, fmt.Errorf("invalid JSON body: number %s overflows", p.buf[start:p.pos])
 	}
 	if neg {
 		v = -v

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -17,7 +18,7 @@ import (
 // TestDetectServeZeroAlloc pins the tentpole invariant: once warm, a full
 // /v1/detect request — mux dispatch, instrumentation, body read, wire
 // decode, analysis, locked scoring, wire encode — allocates nothing beyond
-// sam.Analyze's one pooled-scratch return, and the codec layer by itself
+// the ByLink slice sam.Analyze returns, and the codec layer by itself
 // allocates nothing at all (style of TestBroadcastDeliverZeroAlloc).
 func TestDetectServeZeroAlloc(t *testing.T) {
 	if raceEnabled {
@@ -53,16 +54,16 @@ func TestDetectServeZeroAlloc(t *testing.T) {
 			t.Fatalf("status %d", w.status)
 		}
 	}
-	// sam.Analyze returns its pooled scratch through an interface, which is
-	// one unavoidable allocation per call today; everything else must be
-	// free. The CI bench guard enforces ≤ 9 on the default config (decision
-	// capture on); this test pins the wire layer itself much tighter.
+	// The ByLink slice sam.Analyze returns is the one allocation a detect
+	// needs; scoring and everything else must be free. The CI bench guard
+	// enforces ≤ 9 on the default config (decision capture on); this test
+	// pins the wire layer itself much tighter.
 	if got := testing.AllocsPerRun(200, func() {
 		rd.Reset(body)
 		w.status = 0
 		mux.ServeHTTP(w, req)
-	}); got > 2 {
-		t.Errorf("detect request allocates %.1f times per op, want <= 2", got)
+	}); got > 1 {
+		t.Errorf("detect request allocates %.1f times per op, want <= 1", got)
 	}
 
 	// The codec layer alone — parse, materialize, encode — must be exactly
@@ -83,89 +84,169 @@ func TestDetectServeZeroAlloc(t *testing.T) {
 	}
 }
 
+// wireDifferentialBodies are detect bodies both decoders must agree on:
+// the fixed cases of TestWireParserMatchesEncodingJSON and the seeds of
+// FuzzWireParserMatchesEncodingJSON.
+var wireDifferentialBodies = []string{
+	`{"profile":"p","routes":[[0,1,2],[0,3,2]]}`,
+	`{"profile":"p","routes":[]}`,
+	`{"profile":"p","routes":null}`,
+	`{"profile":null,"routes":[[1,2]]}`,
+	`{"PROFILE":"p","Routes":[[7]]}`,               // case-insensitive keys
+	`{"profile":"a","profile":"b","routes":[[1]]}`, // last key wins
+	`{"routes":[[1,2]],"routes":[[3,4]]}`,
+	`{"profile":"p","routes":[[0,1]],"update":false}`,
+	`{"profile":"p","routes":[[0,1]],"update":null}`,
+	`{"profile":"p","routes":[[0,1]],"explain":true}`,
+	`{"profile":"p","routes":[[0,1]],"unknown":{"deep":[1,{"x":"y"}]}}`,
+	`  {  "profile" : "p" , "routes" : [ [ 0 , 1 ] ] }  `,
+	`{"profile":"pé😀","routes":[[1]]}`, // escapes + surrogate pair
+	`{"profile":"a\"b\\c\n","routes":[[1]]}`,
+	`{}`,
+	`null`,
+	`{"profile":"p","routes":[[9999999999999999999]]}`, // int64 overflow
+	`{"profile":"p","routes":[[1.5]]}`,                 // fraction
+	`{"profile":"p","routes":[[1e2]]}`,                 // exponent
+	`{"profile":"p","routes":[[01]]}`,                  // leading zero
+	`{"profile":"p","routes":[[-0]]}`,
+	`{"profile":"p","routes":[[2,3]]}{"x":1}`, // trailing garbage
+	`{"profile":"p","routes":[[0,1`,           // truncated
+	`{"profile":"p",}`,                        // trailing comma
+	`[1,2,3]`,                                 // wrong top-level type
+	`{"profile":"p","routes":[null,[1,2]]}`,   // null route element
+	`{"profile":"p","routes":[[1],null]}`,
+	`truex`,
+	``,
+	`{"update":true}`,
+	`{"profile":123}`, // wrong field type
+	`{"routes":[[true]]}`,
+	`{"routes":"nope"}`,
+}
+
 // TestWireParserMatchesEncodingJSON is the differential decode test: every
 // body is decoded by both the old encoding/json path and the pooled parser,
 // and they must agree on accept/reject and on every decoded field.
 func TestWireParserMatchesEncodingJSON(t *testing.T) {
-	bodies := []string{
-		`{"profile":"p","routes":[[0,1,2],[0,3,2]]}`,
-		`{"profile":"p","routes":[]}`,
-		`{"profile":"p","routes":null}`,
-		`{"profile":null,"routes":[[1,2]]}`,
-		`{"PROFILE":"p","Routes":[[7]]}`,               // case-insensitive keys
-		`{"profile":"a","profile":"b","routes":[[1]]}`, // last key wins
-		`{"routes":[[1,2]],"routes":[[3,4]]}`,
-		`{"profile":"p","routes":[[0,1]],"update":false}`,
-		`{"profile":"p","routes":[[0,1]],"update":null}`,
-		`{"profile":"p","routes":[[0,1]],"explain":true}`,
-		`{"profile":"p","routes":[[0,1]],"unknown":{"deep":[1,{"x":"y"}]}}`,
-		`  {  "profile" : "p" , "routes" : [ [ 0 , 1 ] ] }  `,
-		`{"profile":"pé😀","routes":[[1]]}`, // escapes + surrogate pair
-		`{"profile":"a\"b\\c\n","routes":[[1]]}`,
-		`{}`,
-		`null`,
-		`{"profile":"p","routes":[[9999999999999999999]]}`, // int64 overflow
-		`{"profile":"p","routes":[[1.5]]}`,                 // fraction
-		`{"profile":"p","routes":[[1e2]]}`,                 // exponent
-		`{"profile":"p","routes":[[01]]}`,                  // leading zero
-		`{"profile":"p","routes":[[-0]]}`,
-		`{"profile":"p","routes":[[2,3]]}{"x":1}`, // trailing garbage
-		`{"profile":"p","routes":[[0,1`,           // truncated
-		`{"profile":"p",}`,                        // trailing comma
-		`[1,2,3]`,                                 // wrong top-level type
-		`{"profile":"p","routes":[null,[1,2]]}`,   // null route element
-		`{"profile":"p","routes":[[1],null]}`,
-		`truex`,
-		``,
-		`{"update":true}`,
-		`{"profile":123}`, // wrong field type
-		`{"routes":[[true]]}`,
-		`{"routes":"nope"}`,
+	for _, body := range wireDifferentialBodies {
+		checkWireParserMatches(t, body)
 	}
-	for _, body := range bodies {
-		// Old path.
-		var oldReq DetectRequest
-		oldErr := decodeJSON(httptest.NewRequest("POST", "/v1/detect", strings.NewReader(body)), &oldReq)
-		var oldRoutes any
-		if oldErr == nil {
-			routes, rerr := decodeRoutes(oldReq.Routes)
-			if rerr != nil {
-				oldErr = rerr
-			} else {
-				oldRoutes = routes
-			}
+}
+
+// FuzzWireParserMatchesEncodingJSON runs the differential decode test on
+// arbitrary bodies. Besides the fixed cases it is seeded with number
+// literals at every edge of the one-pass integer scan: lone signs, a
+// dangling fraction or exponent, leading zeros, the int64 limits and the
+// node ID bound.
+func FuzzWireParserMatchesEncodingJSON(f *testing.F) {
+	for _, body := range wireDifferentialBodies {
+		f.Add(body)
+	}
+	for _, n := range []string{
+		"-0", "-", "1.", "1e", "1.5e3", "01",
+		"9223372036854775807", "9223372036854775808", "-9223372036854775808",
+		"1073741824", "1 ,2",
+	} {
+		f.Add(`{"profile":"p","routes":[[` + n + `]]}`)
+	}
+	f.Fuzz(checkWireParserMatches)
+}
+
+// parseIntTwoPass is the parseIntValue the one-pass scan replaced:
+// scanNumber validates the literal, then a second loop converts it.
+func (p *jparser) parseIntTwoPass() (int64, error) {
+	lit, isInt, err := p.scanNumber()
+	if err != nil {
+		return 0, err
+	}
+	if !isInt {
+		return 0, fmt.Errorf("invalid JSON body: number %s is not an integer", lit)
+	}
+	digits := lit
+	if digits[0] == '-' {
+		digits = digits[1:]
+	}
+	var v int64
+	for _, c := range digits {
+		d := int64(c - '0')
+		if v > (math.MaxInt64-d)/10 {
+			return 0, fmt.Errorf("invalid JSON body: number %s overflows", lit)
 		}
-		// New path.
-		sc := getScratch()
-		sc.body = append(sc.body[:0], body...)
-		newErr := sc.parseRequest(kindDetect)
-		if (oldErr == nil) != (newErr == nil) {
-			t.Errorf("body %q: old err %v, new err %v", body, oldErr, newErr)
-			putScratch(sc)
-			continue
+		v = v*10 + d
+	}
+	if lit[0] == '-' {
+		v = -v
+	}
+	return v, nil
+}
+
+// TestParseIntValueMatchesTwoPass pins the one-pass integer scan to the
+// two-pass one it replaced: the same value, the same error message
+// (offsets included) and the same end position for every literal.
+func TestParseIntValueMatchesTwoPass(t *testing.T) {
+	lits := []string{
+		"0", "-0", "7", "-7", "1073741824", "01", "-01", "00", "-", "--1", "+1", "",
+		"1.", "1.5", "-1.5", "1.5e3", "1e", "1e+", "1e5", "1E-2", "1.e3", ".5",
+		"9223372036854775807", "-9223372036854775807", "9223372036854775808",
+		"-9223372036854775808", "9223372036854775806", "9223372036854775809",
+		"922337203685477580", "92233720368547758070", "99999999999999999999", "99999999999999999999.5",
+		"99999999999999999999x", "12x", "12 ", "12,", "12]", "12}", "1 ,2", "0x10",
+	}
+	for _, lit := range lits {
+		var one, two jparser
+		one.init([]byte(lit))
+		two.init([]byte(lit))
+		v1, err1 := one.parseIntValue()
+		v2, err2 := two.parseIntTwoPass()
+		if v1 != v2 || fmt.Sprint(err1) != fmt.Sprint(err2) || (err1 == nil && one.pos != two.pos) {
+			t.Errorf("%q: one pass (%d, %v) at %d, two pass (%d, %v) at %d",
+				lit, v1, err1, one.pos, v2, err2, two.pos)
 		}
-		if oldErr != nil {
-			putScratch(sc)
-			continue
+	}
+}
+
+// checkWireParserMatches decodes body with encoding/json and with the
+// pooled parser and fails t unless they agree on accept/reject and on every
+// decoded field.
+func checkWireParserMatches(t *testing.T, body string) {
+	// Old path.
+	var oldReq DetectRequest
+	oldErr := decodeJSON(httptest.NewRequest("POST", "/v1/detect", strings.NewReader(body)), &oldReq)
+	var oldRoutes any
+	if oldErr == nil {
+		routes, rerr := decodeRoutes(oldReq.Routes)
+		if rerr != nil {
+			oldErr = rerr
+		} else {
+			oldRoutes = routes
 		}
-		sc.materializeRoutes()
-		if got, want := string(sc.profile), oldReq.Profile; got != want {
-			t.Errorf("body %q: profile %q, want %q", body, got, want)
+	}
+	// New path.
+	sc := getScratch()
+	defer putScratch(sc)
+	sc.body = append(sc.body[:0], body...)
+	newErr := sc.parseRequest(kindDetect)
+	if (oldErr == nil) != (newErr == nil) {
+		t.Fatalf("body %q: old err %v, new err %v", body, oldErr, newErr)
+	}
+	if oldErr != nil {
+		return
+	}
+	sc.materializeRoutes()
+	if got, want := string(sc.profile), oldReq.Profile; got != want {
+		t.Errorf("body %q: profile %q, want %q", body, got, want)
+	}
+	oldUpdate := oldReq.Update == nil || *oldReq.Update
+	if got := sc.requestUpdate(); got != oldUpdate {
+		t.Errorf("body %q: update %v, want %v", body, got, oldUpdate)
+	}
+	if got := sc.explain; got != oldReq.Explain {
+		t.Errorf("body %q: explain %v, want %v", body, got, oldReq.Explain)
+	}
+	if oldRoutes != nil {
+		want := fmt.Sprint(oldRoutes)
+		if got := fmt.Sprint(sc.routes); got != want {
+			t.Errorf("body %q: routes %s, want %s", body, got, want)
 		}
-		oldUpdate := oldReq.Update == nil || *oldReq.Update
-		if got := sc.requestUpdate(); got != oldUpdate {
-			t.Errorf("body %q: update %v, want %v", body, got, oldUpdate)
-		}
-		if got := sc.explain; got != oldReq.Explain {
-			t.Errorf("body %q: explain %v, want %v", body, got, oldReq.Explain)
-		}
-		if oldRoutes != nil {
-			want := fmt.Sprint(oldRoutes)
-			if got := fmt.Sprint(sc.routes); got != want {
-				t.Errorf("body %q: routes %s, want %s", body, got, want)
-			}
-		}
-		putScratch(sc)
 	}
 }
 
